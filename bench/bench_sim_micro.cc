@@ -2,13 +2,15 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue scheduling, cache tag lookups, DRAM bank timing, the
- * Zipf sampler and the EB-Streamer gather loop. These bound the
+ * Zipf sampler, the EB-Streamer gather loop and the functional
+ * forward pass. These bound the
  * wall-clock cost of the paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cache/hierarchy.hh"
+#include "dlrm/model_registry.hh"
 #include "dlrm/reference_model.hh"
 #include "fpga/mlp_unit.hh"
 #include "mem/dram.hh"
@@ -193,6 +195,21 @@ BM_ReferenceForward(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * wl.batch);
 }
 BENCHMARK(BM_ReferenceForward);
+
+// rm-wide's bottom stack (13->1024->512->32). Each weight is hashed
+// once per batch, so the per-sample cost falls as the batch grows.
+void
+BM_MlpForwardBatch(benchmark::State &state)
+{
+    const auto batch = static_cast<std::uint32_t>(state.range(0));
+    const Mlp mlp(1, parseModel("rm-wide").bottomLayerDims());
+    const std::vector<float> in(
+        static_cast<std::size_t>(batch) * mlp.inputDim(), 0.5f);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(mlp.forwardBatch(in.data(), batch));
+    state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(8)->Arg(64);
 
 } // namespace
 

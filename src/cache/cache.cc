@@ -32,7 +32,7 @@ Cache::access(Addr addr)
     ++_clock;
 
     for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
+        if (base[w].valid() && base[w].tag == tag) {
             if (_cfg.policy == ReplacementPolicy::Lru)
                 base[w].stamp = _clock;
             return CacheAccessResult{true, false, 0};
@@ -44,10 +44,9 @@ Cache::access(Addr addr)
     Way &way = base[victim];
     CacheAccessResult res;
     res.hit = false;
-    res.evictedValid = way.valid;
-    if (way.valid)
+    res.evictedValid = way.valid();
+    if (way.valid())
         res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
-    way.valid = true;
     way.tag = tag;
     way.stamp = _clock;
     return res;
@@ -61,7 +60,7 @@ Cache::probe(Addr addr) const
     const std::uint64_t tag = line / _sets;
     const Way *base = &_ways[set * _cfg.ways];
     for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].valid() && base[w].tag == tag)
             return true;
     return false;
 }
@@ -76,17 +75,16 @@ Cache::fill(Addr addr)
     ++_clock;
 
     for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].valid() && base[w].tag == tag)
             return CacheAccessResult{true, false, 0};
     }
     const std::size_t victim = victimWay(set);
     Way &way = base[victim];
     CacheAccessResult res;
     res.hit = false;
-    res.evictedValid = way.valid;
-    if (way.valid)
+    res.evictedValid = way.valid();
+    if (way.valid())
         res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
-    way.valid = true;
     way.tag = tag;
     way.stamp = _clock;
     return res;
@@ -98,7 +96,7 @@ Cache::victimWay(std::uint64_t set)
     Way *base = &_ways[set * _cfg.ways];
     // Prefer an invalid way.
     for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (!base[w].valid)
+        if (!base[w].valid())
             return w;
 
     switch (_cfg.policy) {
@@ -124,7 +122,7 @@ void
 Cache::flush()
 {
     for (auto &way : _ways)
-        way.valid = false;
+        way.stamp = 0;
 }
 
 void

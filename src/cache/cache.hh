@@ -99,11 +99,20 @@ class Cache
     }
 
   private:
+    /**
+     * 16 bytes, not 24 with a separate valid flag: a 35 MiB LLC's
+     * array is 9.2 MB instead of 13.8 MB, and every system builds one.
+     */
     struct Way
     {
-        bool valid = false;
         std::uint64_t tag = 0;
-        std::uint64_t stamp = 0; //!< LRU: last use; FIFO: insert time
+        /**
+         * LRU: last use; FIFO: insert time. Stamps come from _clock,
+         * which is incremented before use, so 0 means invalid.
+         */
+        std::uint64_t stamp = 0;
+
+        bool valid() const { return stamp != 0; }
     };
 
     std::uint64_t setIndex(Addr line) const { return line % _sets; }

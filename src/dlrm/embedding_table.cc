@@ -1,36 +1,30 @@
 #include "dlrm/embedding_table.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 
 namespace centaur {
 
 namespace paramgen {
 
-std::uint64_t
-hash(std::uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
 float
 hashedFloat(std::uint64_t domain, std::uint64_t a, std::uint64_t b,
             std::uint64_t c, float scale)
 {
-    std::uint64_t h = hash(domain);
-    h = hash(h ^ a);
-    h = hash(h ^ b);
-    h = hash(h ^ c);
-    // Map the top 24 bits to [-1, 1), then scale.
-    const auto bits = static_cast<std::uint32_t>(h >> 40);
-    const float unit =
-        static_cast<float>(bits) / 8388608.0f - 1.0f; // 2^23
-    return unit * scale;
+    return unitFloat(hash(prefix(domain, a, b) ^ c)) * scale;
 }
 
 } // namespace paramgen
+
+namespace {
+
+constexpr std::uint64_t kTableDomain = 0xE3B0;
+// Keeps reduced sums of ~100 vectors within sigmoid's useful dynamic
+// range.
+constexpr float kTableScale = 0.05f;
+
+} // namespace
 
 VirtualEmbeddingTable::VirtualEmbeddingTable(std::uint32_t table_id,
                                              std::uint64_t rows,
@@ -42,22 +36,38 @@ VirtualEmbeddingTable::VirtualEmbeddingTable(std::uint32_t table_id,
         fatal("embedding table needs nonzero rows and dim");
 }
 
-float
-VirtualEmbeddingTable::element(std::uint64_t row, std::uint32_t d) const
+std::uint64_t
+VirtualEmbeddingTable::rowPrefix(std::uint64_t row) const
 {
     if (row >= _rows)
         panic("embedding row ", row, " out of range (table ", _id,
               " has ", _rows, " rows)");
-    // Scale keeps reduced sums of ~100 vectors within sigmoid's
-    // useful dynamic range.
-    return paramgen::hashedFloat(0xE3B0, _id, row, d, 0.05f);
+    return paramgen::prefix(kTableDomain, _id, row);
+}
+
+float
+VirtualEmbeddingTable::element(std::uint64_t row, std::uint32_t d) const
+{
+    rowPrefix(row); // bounds check only
+    return paramgen::hashedFloat(kTableDomain, _id, row, d, kTableScale);
 }
 
 void
 VirtualEmbeddingTable::row(std::uint64_t row_idx, float *out) const
 {
+    // 0.0f + v == v bit for bit: synthesis never yields -0.0f.
+    std::fill(out, out + _dim, 0.0f);
+    accumulateRow(row_idx, out);
+}
+
+void
+VirtualEmbeddingTable::accumulateRow(std::uint64_t row_idx,
+                                     float *out) const
+{
+    const std::uint64_t prefix = rowPrefix(row_idx);
     for (std::uint32_t d = 0; d < _dim; ++d)
-        out[d] = element(row_idx, d);
+        out[d] += paramgen::unitFloat(paramgen::hash(prefix ^ d)) *
+                  kTableScale;
 }
 
 MemoryLayout

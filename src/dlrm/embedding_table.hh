@@ -19,13 +19,45 @@
 
 namespace centaur {
 
-/** Deterministic value synthesis shared by tables and MLP params. */
+/**
+ * Deterministic value synthesis shared by tables and MLP params.
+ *
+ * hashedFloat() is the definition of every synthesized value. Hot
+ * loops may hoist the (domain, a, b) prefix() out of their inner loop
+ * and finish each element with one hash() + unitFloat(), but any such
+ * fast path must reproduce hashedFloat() bit for bit.
+ */
 namespace paramgen {
 
 /** SplitMix64 hash. */
-std::uint64_t hash(std::uint64_t x);
+inline std::uint64_t
+hash(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+}
 
-/** Hash of a (domain, a, b, c) tuple to a float in [-scale, scale]. */
+/** Map the top 24 bits of @p h to [-1, 1). */
+inline float
+unitFloat(std::uint64_t h)
+{
+    const auto bits = static_cast<std::uint32_t>(h >> 40);
+    return static_cast<float>(bits) / 8388608.0f - 1.0f; // 2^23
+}
+
+/** The hash chain of a (domain, a, b) tuple, shared by all c. */
+inline std::uint64_t
+prefix(std::uint64_t domain, std::uint64_t a, std::uint64_t b)
+{
+    return hash(hash(hash(domain) ^ a) ^ b);
+}
+
+/**
+ * Hash of a (domain, a, b, c) tuple to a float in [-scale, scale]:
+ * unitFloat(hash(hash(hash(hash(domain) ^ a) ^ b) ^ c)) * scale.
+ */
 float hashedFloat(std::uint64_t domain, std::uint64_t a, std::uint64_t b,
                   std::uint64_t c, float scale);
 
@@ -33,7 +65,10 @@ float hashedFloat(std::uint64_t domain, std::uint64_t a, std::uint64_t b,
 
 /**
  * One embedding table with a base address inside the simulated CPU
- * physical memory and hash-synthesized contents.
+ * physical memory and hash-synthesized contents. Element (row, d) is
+ * paramgen::hashedFloat(0xE3B0, id, row, d, 0.05f); row() and
+ * accumulateRow() hash the row prefix once and must match it bit for
+ * bit.
  */
 class VirtualEmbeddingTable
 {
@@ -52,6 +87,9 @@ class VirtualEmbeddingTable
 
     /** Materialize a whole row. */
     void row(std::uint64_t row, float *out) const;
+
+    /** out[d] += element(row, d) for d = 0..dim()-1, in order. */
+    void accumulateRow(std::uint64_t row, float *out) const;
 
     /** Physical address of the first byte of @p row. */
     Addr
@@ -72,6 +110,9 @@ class VirtualEmbeddingTable
     std::uint64_t sizeBytes() const { return _rows * rowBytes(); }
 
   private:
+    /** Bounds-check @p row and return its paramgen::prefix(). */
+    std::uint64_t rowPrefix(std::uint64_t row) const;
+
     std::uint32_t _id;
     std::uint64_t _rows;
     std::uint32_t _dim;

@@ -1,5 +1,6 @@
 #include "dlrm/mlp.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "dlrm/embedding_table.hh"
@@ -19,15 +20,23 @@ Mlp::Mlp(std::uint64_t mlp_id, std::vector<std::uint32_t> layer_dims,
             fatal("MLP layer widths must be nonzero");
 }
 
+namespace {
+
+// Xavier-ish scale so activations neither vanish nor blow up.
+float
+weightScale(std::uint32_t in_dim)
+{
+    return 0.9f / std::sqrt(static_cast<float>(in_dim));
+}
+
+} // namespace
+
 float
 Mlp::weight(std::size_t layer, std::uint32_t out_idx,
             std::uint32_t in_idx) const
 {
-    // Xavier-ish scale so activations neither vanish nor blow up.
-    const float scale =
-        0.9f / std::sqrt(static_cast<float>(_dims[layer]));
     return paramgen::hashedFloat(_id * 2 + 1, layer, out_idx, in_idx,
-                                 scale);
+                                 weightScale(_dims[layer]));
 }
 
 float
@@ -45,32 +54,49 @@ Mlp::forward(const float *in) const
 std::vector<float>
 Mlp::forwardBatch(const float *in, std::uint32_t batch) const
 {
-    std::vector<float> cur(in, in + static_cast<std::size_t>(batch) *
-                                       inputDim());
+    // Activations are kept feature-major, x[i * batch + b], so each
+    // synthesized weight is hashed once and applied to the whole
+    // batch with a contiguous inner loop. Every sample's accumulator
+    // still sees bias, then i = 0..in_dim-1 in order: the sums are
+    // bit-identical to a per-sample loop over weight().
+    const std::size_t n = batch;
+    std::vector<float> cur(n * inputDim());
+    for (std::size_t b = 0; b < n; ++b)
+        for (std::uint32_t i = 0; i < inputDim(); ++i)
+            cur[i * n + b] = in[b * inputDim() + i];
+
+    std::vector<float> next;
     for (std::size_t layer = 0; layer + 1 < _dims.size(); ++layer) {
         const std::uint32_t in_dim = _dims[layer];
         const std::uint32_t out_dim = _dims[layer + 1];
         const bool last = layer + 2 == _dims.size();
         const Activation act = last ? _finalAct : _hiddenAct;
-        std::vector<float> next(
-            static_cast<std::size_t>(batch) * out_dim);
-        for (std::uint32_t b = 0; b < batch; ++b) {
-            const float *x = cur.data() +
-                             static_cast<std::size_t>(b) * in_dim;
-            float *y = next.data() +
-                       static_cast<std::size_t>(b) * out_dim;
-            for (std::uint32_t o = 0; o < out_dim; ++o) {
-                float acc = bias(layer, o);
-                for (std::uint32_t i = 0; i < in_dim; ++i)
-                    acc += weight(layer, o, i) * x[i];
-                if (act == Activation::Relu && acc < 0.0f)
-                    acc = 0.0f;
-                y[o] = acc;
+        const float scale = weightScale(in_dim);
+        next.resize(n * out_dim);
+        for (std::uint32_t o = 0; o < out_dim; ++o) {
+            float *y = next.data() + o * n;
+            std::fill(y, y + n, bias(layer, o));
+            const std::uint64_t row = paramgen::prefix(_id * 2 + 1, layer, o);
+            for (std::uint32_t i = 0; i < in_dim; ++i) {
+                const float w =
+                    paramgen::unitFloat(paramgen::hash(row ^ i)) * scale;
+                const float *x = cur.data() + i * n;
+                for (std::size_t b = 0; b < n; ++b)
+                    y[b] += w * x[b];
             }
+            if (act == Activation::Relu)
+                for (std::size_t b = 0; b < n; ++b)
+                    if (y[b] < 0.0f)
+                        y[b] = 0.0f;
         }
-        cur = std::move(next);
+        cur.swap(next);
     }
-    return cur;
+
+    std::vector<float> out(n * outputDim());
+    for (std::size_t b = 0; b < n; ++b)
+        for (std::uint32_t o = 0; o < outputDim(); ++o)
+            out[b * outputDim() + o] = cur[o * n + b];
+    return out;
 }
 
 std::uint64_t

@@ -24,6 +24,11 @@ enum class Activation : std::uint8_t
  * A dense MLP: y = act(W x + b) per layer. Parameters are synthesized
  * deterministically from (mlp_id, layer, i, j) hashes so CPU, GPU and
  * FPGA models all see identical weights with no storage or loading.
+ *
+ * weight() and bias() are paramgen::hashedFloat(), the definition.
+ * forwardBatch() hashes each weight once per batch from a hoisted
+ * (layer, out) prefix and must stay bit-identical to the naive loop
+ * acc = bias(l, o); acc += weight(l, o, i) * x[i] for i in order.
  */
 class Mlp
 {

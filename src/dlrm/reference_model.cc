@@ -1,5 +1,7 @@
 #include "dlrm/reference_model.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 
 namespace centaur {
@@ -22,6 +24,30 @@ ReferenceModel::ReferenceModel(const DlrmConfig &cfg)
                                  Activation::Relu, Activation::None);
 }
 
+namespace {
+
+/**
+ * Feature interaction of one sample into @p out: vecs[0] (the bottom
+ * output) passes through first (Figure 1's concatenation), then the
+ * lower-triangle pairwise dot products of the @p n_vec vectors.
+ */
+void
+interact(const float *const *vecs, std::size_t n_vec, std::uint32_t dim,
+         float *out)
+{
+    out = std::copy(vecs[0], vecs[0] + dim, out);
+    for (std::size_t i = 1; i < n_vec; ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            float dot = 0.0f;
+            for (std::uint32_t d = 0; d < dim; ++d)
+                dot += vecs[i][d] * vecs[j][d];
+            *out++ = dot;
+        }
+    }
+}
+
+} // namespace
+
 std::vector<std::vector<float>>
 ReferenceModel::reduceEmbeddings(const InferenceBatch &batch) const
 {
@@ -34,13 +60,11 @@ ReferenceModel::reduceEmbeddings(const InferenceBatch &batch) const
         for (std::uint32_t b = 0; b < batch.batch; ++b) {
             float *out = reduced[t].data() +
                          static_cast<std::size_t>(b) * dim;
-            for (std::uint32_t j = 0; j < batch.lookupsPerTable; ++j) {
-                const std::uint64_t row =
+            for (std::uint32_t j = 0; j < batch.lookupsPerTable; ++j)
+                _tables[t]->accumulateRow(
                     idx[static_cast<std::size_t>(b) *
-                            batch.lookupsPerTable + j];
-                for (std::uint32_t d = 0; d < dim; ++d)
-                    out[d] += _tables[t]->element(row, d);
-            }
+                            batch.lookupsPerTable + j],
+                    out);
         }
     }
     return reduced;
@@ -51,26 +75,13 @@ ReferenceModel::interactSample(
     const float *bottom_out,
     const std::vector<const float *> &reduced) const
 {
-    const std::uint32_t dim = _cfg.embeddingDim;
     std::vector<const float *> vecs;
+    vecs.reserve(reduced.size() + 1);
     vecs.push_back(bottom_out);
-    for (const float *r : reduced)
-        vecs.push_back(r);
-
-    std::vector<float> out;
-    out.reserve(_cfg.interactionDim());
-    // Bottom output passes through first (Figure 1's concatenation).
-    for (std::uint32_t d = 0; d < dim; ++d)
-        out.push_back(bottom_out[d]);
-    // Lower-triangle pairwise dot products.
-    for (std::size_t i = 1; i < vecs.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            float dot = 0.0f;
-            for (std::uint32_t d = 0; d < dim; ++d)
-                dot += vecs[i][d] * vecs[j][d];
-            out.push_back(dot);
-        }
-    }
+    vecs.insert(vecs.end(), reduced.begin(), reduced.end());
+    std::vector<float> out(_cfg.embeddingDim +
+                           vecs.size() * (vecs.size() - 1) / 2);
+    interact(vecs.data(), vecs.size(), _cfg.embeddingDim, out.data());
     return out;
 }
 
@@ -87,18 +98,15 @@ ReferenceModel::forward(const InferenceBatch &batch) const
     const std::uint32_t top_in_dim = _cfg.interactionDim();
     res.topIn.resize(static_cast<std::size_t>(batch.batch) *
                      top_in_dim);
+    std::vector<const float *> vecs(_cfg.numTables + 1);
     for (std::uint32_t b = 0; b < batch.batch; ++b) {
-        std::vector<const float *> reduced_ptrs;
-        reduced_ptrs.reserve(_cfg.numTables);
+        const std::size_t off = static_cast<std::size_t>(b) * dim;
+        vecs[0] = res.bottomOut.data() + off;
         for (std::uint32_t t = 0; t < _cfg.numTables; ++t)
-            reduced_ptrs.push_back(res.reduced[t].data() +
-                                   static_cast<std::size_t>(b) * dim);
-        const auto feat = interactSample(
-            res.bottomOut.data() + static_cast<std::size_t>(b) * dim,
-            reduced_ptrs);
-        std::copy(feat.begin(), feat.end(),
-                  res.topIn.begin() +
-                      static_cast<std::size_t>(b) * top_in_dim);
+            vecs[t + 1] = res.reduced[t].data() + off;
+        interact(vecs.data(), vecs.size(), dim,
+                 res.topIn.data() +
+                     static_cast<std::size_t>(b) * top_in_dim);
     }
 
     res.logits = _top->forwardBatch(res.topIn.data(), batch.batch);

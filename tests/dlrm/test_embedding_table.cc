@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "dlrm/embedding_table.hh"
+#include "sim/random.hh"
 
 namespace centaur {
 namespace {
@@ -33,6 +35,24 @@ TEST(ParamGen, HashedFloatMeanIsNearZero)
     for (std::uint64_t i = 0; i < 20000; ++i)
         sum += paramgen::hashedFloat(2, i, 0, 0, 1.0f);
     EXPECT_NEAR(sum / 20000.0, 0.0, 0.02);
+}
+
+TEST(ParamGen, HashedFloatIsTheHashChain)
+{
+    using paramgen::hash;
+    Rng rng(2020);
+    for (int k = 0; k < 10000; ++k) {
+        const std::uint64_t d = rng.next(), a = rng.next(),
+                            b = rng.next(), c = rng.next();
+        const float s = static_cast<float>(rng.nextDouble(0.001, 2.0));
+        const float expect =
+            paramgen::unitFloat(hash(hash(hash(hash(d) ^ a) ^ b) ^ c)) * s;
+        const float got = paramgen::hashedFloat(d, a, b, c, s);
+        ASSERT_EQ(std::memcmp(&got, &expect, sizeof(float)), 0)
+            << "tuple " << k;
+        ASSERT_EQ(hash(paramgen::prefix(d, a, b) ^ c),
+                  hash(hash(hash(hash(d) ^ a) ^ b) ^ c));
+    }
 }
 
 TEST(EmbeddingTable, ValuesAreDeterministic)
@@ -61,6 +81,30 @@ TEST(EmbeddingTable, RowMaterializationMatchesElements)
         EXPECT_EQ(row[d], t.element(42, d));
 }
 
+TEST(EmbeddingTable, ElementIsHashedFloat)
+{
+    VirtualEmbeddingTable t(6, 1000, 64, 0);
+    for (std::uint64_t row : {0ull, 1ull, 517ull, 999ull})
+        for (std::uint32_t d = 0; d < 64; ++d)
+            EXPECT_EQ(t.element(row, d),
+                      paramgen::hashedFloat(0xE3B0, 6, row, d, 0.05f));
+}
+
+TEST(EmbeddingTable, AccumulateRowIsBitExact)
+{
+    VirtualEmbeddingTable t(2, 5000, 64, 0);
+    std::vector<float> got(64), expect(64);
+    for (std::uint32_t d = 0; d < 64; ++d)
+        got[d] = expect[d] = 0.001f * static_cast<float>(d) - 0.03f;
+    for (std::uint64_t row : {4999ull, 0ull, 123ull, 123ull, 4000ull}) {
+        t.accumulateRow(row, got.data());
+        for (std::uint32_t d = 0; d < 64; ++d)
+            expect[d] += t.element(row, d);
+    }
+    EXPECT_EQ(std::memcmp(got.data(), expect.data(), 64 * sizeof(float)),
+              0);
+}
+
 TEST(EmbeddingTable, RowAddressesAreContiguous)
 {
     VirtualEmbeddingTable t(0, 100, 32, 0x10000);
@@ -74,6 +118,13 @@ TEST(EmbeddingTableDeath, OutOfRangeRowPanics)
 {
     VirtualEmbeddingTable t(0, 10, 32, 0);
     EXPECT_DEATH(t.element(10, 0), "out of range");
+}
+
+TEST(EmbeddingTableDeath, AccumulateRowOutOfRangePanics)
+{
+    VirtualEmbeddingTable t(0, 10, 32, 0);
+    std::vector<float> out(32);
+    EXPECT_DEATH(t.accumulateRow(10, out.data()), "out of range");
 }
 
 TEST(EmbeddingTableDeath, RejectsEmptyGeometry)

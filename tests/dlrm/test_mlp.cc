@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "dlrm/mlp.hh"
+#include "dlrm/model_registry.hh"
+#include "naive_reference.hh"
 
 namespace centaur {
 namespace {
@@ -101,6 +103,45 @@ TEST(Mlp, BatchForwardEqualsPerSampleForward)
         for (int o = 0; o < 2; ++o)
             EXPECT_EQ(batch_out[static_cast<std::size_t>(b * 2 + o)],
                       single[static_cast<std::size_t>(o)]);
+    }
+}
+
+/** Deterministic inputs in [-1, 1), with exact zeros and negatives. */
+std::vector<float>
+testInputs(std::size_t n, std::uint64_t seed)
+{
+    std::vector<float> in(n);
+    for (std::size_t k = 0; k < n; ++k)
+        in[k] = k % 5 == 0 ? 0.0f
+                           : paramgen::hashedFloat(77, seed, k, 0, 1.0f);
+    return in;
+}
+
+TEST(MlpBitExact, ForwardBatchMatchesNaiveLoopOnPresetShapes)
+{
+    for (const char *name : {"rm-wide", "dlrm4", "dlrm6"}) {
+        const DlrmConfig cfg = parseModel(name);
+        for (const auto &dims : {cfg.bottomLayerDims(), cfg.topLayerDims()})
+            for (Activation final_act : {Activation::Relu, Activation::None})
+                for (std::uint32_t batch : {1u, 3u, 8u, 17u}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << name << " in=" << dims.front()
+                                 << " batch=" << batch << " final="
+                                 << (final_act == Activation::Relu
+                                         ? "relu" : "none"));
+                    const Mlp mlp(4, dims, Activation::Relu, final_act);
+                    const auto in =
+                        testInputs(batch * dims.front(), batch);
+                    const auto expect = naive::mlpForward(
+                        mlp, Activation::Relu, final_act, in.data(), batch);
+                    EXPECT_TRUE(naive::bitEqual(
+                        mlp.forwardBatch(in.data(), batch), expect));
+                    const std::vector<float> last(
+                        expect.end() - mlp.outputDim(), expect.end());
+                    EXPECT_TRUE(naive::bitEqual(
+                        mlp.forward(in.data() + (batch - 1) * dims.front()),
+                        last));
+                }
     }
 }
 

@@ -7,7 +7,9 @@
 
 #include <cmath>
 
+#include "dlrm/model_registry.hh"
 #include "dlrm/reference_model.hh"
+#include "naive_reference.hh"
 
 namespace centaur {
 namespace {
@@ -170,6 +172,42 @@ TEST(ReferenceModel, PresetModelsConstructAndRun)
         ReferenceModel model(cfg);
         const auto fwd = model.forward(makeBatch(cfg, 1));
         EXPECT_EQ(fwd.probabilities.size(), 1u);
+    }
+}
+
+TEST(ReferenceModelBitExact, ForwardMatchesNaiveLoops)
+{
+    for (const char *name : {"rm-wide", "dlrm4", "dlrm6", "rm-small"}) {
+        const DlrmConfig cfg = parseModel(name);
+        const ReferenceModel model(cfg);
+        for (std::uint32_t batch : {1u, 3u, 8u, 17u}) {
+            SCOPED_TRACE(testing::Message()
+                         << name << " batch=" << batch);
+            const auto in = makeBatch(cfg, batch, 11 + batch);
+            const auto got = model.forward(in);
+            const auto expect = naive::dlrmForward(model, in);
+            ASSERT_EQ(got.reduced.size(), expect.reduced.size());
+            for (std::size_t t = 0; t < got.reduced.size(); ++t)
+                EXPECT_TRUE(
+                    naive::bitEqual(got.reduced[t], expect.reduced[t]));
+            EXPECT_TRUE(naive::bitEqual(got.bottomOut, expect.bottomOut));
+            EXPECT_TRUE(naive::bitEqual(got.topIn, expect.topIn));
+            EXPECT_TRUE(naive::bitEqual(got.logits, expect.logits));
+            EXPECT_TRUE(naive::bitEqual(got.probabilities,
+                                        expect.probabilities));
+
+            // The public per-sample wrapper writes the same features.
+            const std::uint32_t last = batch - 1;
+            std::vector<const float *> reduced;
+            for (const auto &r : got.reduced)
+                reduced.push_back(r.data() + last * cfg.embeddingDim);
+            const auto feat = model.interactSample(
+                got.bottomOut.data() + last * cfg.embeddingDim, reduced);
+            EXPECT_TRUE(naive::bitEqual(
+                feat, std::vector<float>(
+                          got.topIn.end() - cfg.interactionDim(),
+                          got.topIn.end())));
+        }
     }
 }
 
