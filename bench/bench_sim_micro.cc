@@ -1,10 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
- * event queue scheduling, cache tag lookups, DRAM bank timing, the
- * Zipf sampler, the EB-Streamer gather loop and the functional
- * forward pass. These bound the
- * wall-clock cost of the paper-reproduction sweeps.
+ * event queue scheduling, cache tag lookups (miss-heavy, hit-heavy and
+ * the full L1/L2/LLC chain), DRAM bank timing, the Zipf sampler, the
+ * EB-Streamer gather loop and the functional forward pass. These
+ * bound the wall-clock cost of the paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
@@ -111,6 +111,37 @@ BM_CacheRandomAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheRandomAccess);
+
+// The LRU-hit path: 16 MiB of lines, warmed into the 35 MiB LLC, so
+// nearly every access hits and re-ranks its set.
+void
+BM_CacheResidentAccess(benchmark::State &state)
+{
+    Cache cache(CacheConfig{"llc", 35 * kMiB, 20, 64, 18.0,
+                            ReplacementPolicy::Lru});
+    constexpr std::uint64_t kLines = 16 * kMiB / 64;
+    for (std::uint64_t line = 0; line < kLines; ++line)
+        cache.access(line * 64);
+    Rng rng(42);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.access(rng.nextBelow(kLines) * 64));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheResidentAccess);
+
+// The full L1 -> L2 -> LLC chain on a 1 GiB uniform line stream, the
+// CPU gather's per-line cost before DRAM.
+void
+BM_CacheHierarchyAccess(benchmark::State &state)
+{
+    CacheHierarchy hier(broadwellHierarchyConfig());
+    Rng rng(42);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hier.access(rng.nextBelow(1 << 24) * 64));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheHierarchyAccess);
 
 void
 BM_DramRandomAccess(benchmark::State &state)

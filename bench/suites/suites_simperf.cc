@@ -218,7 +218,7 @@ suiteSimPerf(SuiteContext &ctx)
         std::uint64_t legacyWallUs = 0;
         std::uint64_t kernelWallUs = 0;
         std::uint64_t seed = 0;
-        std::string workloadName;
+        std::string workloadName{};
     };
 
     // The five canonical cells. serving_contended and cluster_8node

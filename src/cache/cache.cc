@@ -1,17 +1,120 @@
 #include "cache/cache.hh"
 
+#include <cstring>
 #include <limits>
+#include <mutex>
+#include <new>
+#include <utility>
+
+#include <sanitizer/asan_interface.h>
 
 #include "sim/log.hh"
 
 namespace centaur {
 
-Cache::Cache(const CacheConfig &cfg)
-    : _cfg(cfg), _sets(cfg.sets()),
-      _hitLatency(ticksFromNs(cfg.hitLatencyNs)),
-      _ways(cfg.sets() * cfg.ways)
+namespace {
+
+// GCC/Clang vector extensions: plain SSE2 on x86-64, no -march needed.
+// A comparison yields all-ones (true) or zero lanes.
+typedef std::uint32_t U32x4 __attribute__((vector_size(16)));
+typedef std::uint8_t U8x4 __attribute__((vector_size(4)));
+typedef std::uint8_t U8x16 __attribute__((vector_size(16)));
+
+std::uint32_t
+roundUp(std::uint32_t n, std::uint32_t to)
 {
-    if (_sets == 0)
+    return (n + to - 1) / to * to;
+}
+
+/**
+ * Tag stores of destroyed caches, kept for the next cache of the same
+ * size. Sweeps and serving runs build and drop systems one after
+ * another, each with a 3.7 MB LLC store. Handed back to malloc, such a
+ * store either returns to the system (and its pages fault again on the
+ * next build) or stays on the heap, depending on glibc's trim
+ * heuristics and on which small allocations happen to sit next to it;
+ * so build time and peak memory moved by whole stores with the seed.
+ * Kept here, the memory held is the most stores ever live at once,
+ * plus at most kMaxBytes of idle ones. Idle stores are poisoned under
+ * AddressSanitizer, so a use after free still reports.
+ */
+class StorePool
+{
+  public:
+    static constexpr std::size_t kMaxBytes = std::size_t{256} << 20;
+    static constexpr std::align_val_t kAlign{64};
+
+    void *
+    acquire(std::size_t bytes)
+    {
+        {
+            const std::lock_guard<std::mutex> lock(_mutex);
+            for (std::size_t i = _idle.size(); i-- > 0;) {
+                if (_idle[i].first == bytes) {
+                    void *p = _idle[i].second;
+                    _idle[i] = _idle.back();
+                    _idle.pop_back();
+                    _idleBytes -= bytes;
+                    ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+                    return p;
+                }
+            }
+        }
+        return ::operator new(bytes, kAlign);
+    }
+
+    void
+    release(void *p, std::size_t bytes)
+    {
+        {
+            const std::lock_guard<std::mutex> lock(_mutex);
+            if (_idleBytes + bytes <= kMaxBytes) {
+                ASAN_POISON_MEMORY_REGION(p, bytes);
+                _idle.emplace_back(bytes, p);
+                _idleBytes += bytes;
+                return;
+            }
+        }
+        ::operator delete(p, kAlign);
+    }
+
+  private:
+    std::mutex _mutex;
+    std::vector<std::pair<std::size_t, void *>> _idle;
+    std::size_t _idleBytes = 0;
+};
+
+/** Never destroyed: a static Cache may outlive any static pool. */
+StorePool &
+storePool()
+{
+    static StorePool *const pool = new StorePool;
+    return *pool;
+}
+
+} // namespace
+
+void *
+Cache::acquireStore(std::size_t bytes)
+{
+    return storePool().acquire(bytes);
+}
+
+void
+Cache::releaseStore(void *p, std::size_t bytes)
+{
+    storePool().release(p, bytes);
+}
+
+const CacheConfig &
+Cache::validated(const CacheConfig &cfg)
+{
+    if (cfg.ways == 0 || cfg.lineBytes == 0)
+        fatal("cache '", cfg.name, "' has zero ways or zero-byte lines");
+    if (cfg.ways > 254)
+        fatal("cache '", cfg.name, "' has ", cfg.ways,
+              " ways; one-byte recency ranks allow at most 254");
+    if (cfg.sets() == 0)
         fatal("cache '", cfg.name, "' has zero sets: size ",
               cfg.sizeBytes, " B, ", cfg.ways, " ways, ", cfg.lineBytes,
               " B lines");
@@ -19,110 +122,137 @@ Cache::Cache(const CacheConfig &cfg)
                          cfg.lineBytes) != 0)
         fatal("cache '", cfg.name,
               "' size is not a multiple of ways*lineBytes");
+    return cfg;
+}
+
+Cache::Cache(const CacheConfig &cfg)
+    : _cfg(validated(cfg)), _sets(cfg.sets()), _ways(cfg.ways),
+      _rankOffset(roundUp(cfg.ways, 4)),
+      _setWords(roundUp(_rankOffset + roundUp(cfg.ways, 16) / 4, 16)),
+      _lineDiv(cfg.lineBytes),
+      _setDiv(_sets), _hitLatency(ticksFromNs(cfg.hitLatencyNs))
+{
+    // Every byte 0xFF: every rank kInvalid, every set empty.
+    _store.assign(_sets * _setWords, 0xFFFFFFFF);
+}
+
+Cache::SetScan
+Cache::scan(Addr addr) const
+{
+    const std::uint64_t line = _lineDiv.quot(addr);
+    const std::uint64_t tag = _setDiv.quot(line);
+    if (tag > std::numeric_limits<std::uint32_t>::max())
+        panic("cache '", _cfg.name, "': address ", addr,
+              " needs a tag wider than 32 bits");
+    SetScan s;
+    s.set = line - tag * _sets;
+    s.tag = static_cast<std::uint32_t>(tag);
+
+    // One pass finds the hit and the victim, four ways per step. The
+    // valid ways are a prefix, so the first invalid way is the valid
+    // count. Sums, not branches: at most one valid way matches, at
+    // most one has rank ways-1, and padding ways are invalid.
+    const std::uint32_t *tags = tagsOf(s.set);
+    const std::uint8_t *ranks = ranksOf(tags);
+    const U32x4 key = U32x4{} + s.tag;
+    const U32x4 last = U32x4{} + (_ways - 1);
+    U32x4 way1 = {1, 2, 3, 4}; // way index + 1
+    U32x4 hit1 = {};           // hit way + 1 in its lane
+    U32x4 oldest1 = {};        // way of rank ways-1, + 1, in its lane
+    U32x4 invalid = {};        // minus the count of valid ways
+    for (std::uint32_t w = 0; w < _ways; w += 4) {
+        U32x4 t;
+        std::memcpy(&t, tags + w, sizeof(t));
+        U8x4 r8;
+        std::memcpy(&r8, ranks + w, sizeof(r8));
+        const U32x4 r = __builtin_convertvector(r8, U32x4);
+        const U32x4 valid = (U32x4)(r != kInvalid);
+        hit1 += (U32x4)(t == key) & valid & way1;
+        oldest1 += (U32x4)(r == last) & way1;
+        invalid += valid;
+        way1 += 4;
+    }
+    const std::uint32_t h = hit1[0] + hit1[1] + hit1[2] + hit1[3];
+    const std::uint32_t o = oldest1[0] + oldest1[1] + oldest1[2] + oldest1[3];
+    const std::uint32_t valid =
+        0u - (invalid[0] + invalid[1] + invalid[2] + invalid[3]);
+    s.hitWay = h ? h - 1 : _ways;
+    s.victim = o ? o - 1 : valid;
+    return s;
+}
+
+void
+Cache::promote(std::uint64_t set, std::uint32_t way)
+{
+    std::uint8_t *ranks = ranksOf(tagsOf(set));
+    // rank += (rank < r), sixteen ranks per step (a true lane is
+    // all-ones, so subtracting it adds one): every way younger than
+    // @p way ages by one; kInvalid, padding included, never does.
+    const std::uint8_t r = ranks[way];
+    const U8x16 rv = U8x16{} + r;
+    for (std::uint32_t w = 0; w < _ways; w += 16) {
+        U8x16 x;
+        std::memcpy(&x, ranks + w, sizeof(x));
+        x -= (U8x16)(x < rv);
+        std::memcpy(ranks + w, &x, sizeof(x));
+    }
+    ranks[way] = 0;
+}
+
+CacheAccessResult
+Cache::install(const SetScan &s)
+{
+    std::uint32_t *tags = tagsOf(s.set);
+    const std::uint8_t *ranks = ranksOf(tags);
+    std::uint32_t way = s.victim;
+    if (_cfg.policy == ReplacementPolicy::Random && ranks[way] != kInvalid)
+        way = static_cast<std::uint32_t>(_rng.nextBelow(_ways));
+
+    CacheAccessResult res;
+    res.hit = false;
+    res.evictedValid = ranks[way] != kInvalid;
+    res.evictedAddr =
+        res.evictedValid ? (tags[way] * _sets + s.set) * _cfg.lineBytes : 0;
+    tags[way] = s.tag;
+    promote(s.set, way);
+    return res;
 }
 
 CacheAccessResult
 Cache::access(Addr addr)
 {
     ++_accesses;
-    const Addr line = addr / _cfg.lineBytes;
-    const std::uint64_t set = setIndex(line);
-    const std::uint64_t tag = tagOf(line);
-    Way *base = &_ways[set * _cfg.ways];
-    ++_clock;
-
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (base[w].valid() && base[w].tag == tag) {
-            if (_cfg.policy == ReplacementPolicy::Lru)
-                base[w].stamp = _clock;
-            return CacheAccessResult{true, false, 0};
-        }
+    const SetScan s = scan(addr);
+    if (s.hitWay != _ways) {
+        // FIFO and Random order by insertion only.
+        if (_cfg.policy == ReplacementPolicy::Lru)
+            promote(s.set, s.hitWay);
+        return CacheAccessResult{true, false, 0};
     }
-
     ++_misses;
-    const std::size_t victim = victimWay(set);
-    Way &way = base[victim];
-    CacheAccessResult res;
-    res.hit = false;
-    res.evictedValid = way.valid();
-    if (way.valid())
-        res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
-    way.tag = tag;
-    way.stamp = _clock;
-    return res;
+    return install(s);
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    const Addr line = addr / _cfg.lineBytes;
-    const std::uint64_t set = line % _sets;
-    const std::uint64_t tag = line / _sets;
-    const Way *base = &_ways[set * _cfg.ways];
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (base[w].valid() && base[w].tag == tag)
-            return true;
-    return false;
+    return scan(addr).hitWay != _ways;
 }
 
 CacheAccessResult
 Cache::fill(Addr addr)
 {
-    const Addr line = addr / _cfg.lineBytes;
-    const std::uint64_t set = setIndex(line);
-    const std::uint64_t tag = tagOf(line);
-    Way *base = &_ways[set * _cfg.ways];
-    ++_clock;
-
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        if (base[w].valid() && base[w].tag == tag)
-            return CacheAccessResult{true, false, 0};
-    }
-    const std::size_t victim = victimWay(set);
-    Way &way = base[victim];
-    CacheAccessResult res;
-    res.hit = false;
-    res.evictedValid = way.valid();
-    if (way.valid())
-        res.evictedAddr = (way.tag * _sets + set) * _cfg.lineBytes;
-    way.tag = tag;
-    way.stamp = _clock;
-    return res;
-}
-
-std::size_t
-Cache::victimWay(std::uint64_t set)
-{
-    Way *base = &_ways[set * _cfg.ways];
-    // Prefer an invalid way.
-    for (std::uint32_t w = 0; w < _cfg.ways; ++w)
-        if (!base[w].valid())
-            return w;
-
-    switch (_cfg.policy) {
-      case ReplacementPolicy::Random:
-        return static_cast<std::size_t>(_rng.nextBelow(_cfg.ways));
-      case ReplacementPolicy::Lru:
-      case ReplacementPolicy::Fifo: {
-        std::size_t victim = 0;
-        std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-        for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-            if (base[w].stamp < oldest) {
-                oldest = base[w].stamp;
-                victim = w;
-            }
-        }
-        return victim;
-      }
-    }
-    panic("unreachable replacement policy");
+    const SetScan s = scan(addr);
+    if (s.hitWay != _ways)
+        return CacheAccessResult{true, false, 0};
+    return install(s);
 }
 
 void
 Cache::flush()
 {
-    for (auto &way : _ways)
-        way.stamp = 0;
+    for (std::uint64_t set = 0; set < _sets; ++set)
+        std::memset(ranksOf(tagsOf(set)), kInvalid, _ways);
 }
 
 void

@@ -11,10 +11,12 @@
 #ifndef CENTAUR_CACHE_CACHE_HH
 #define CENTAUR_CACHE_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "sim/divider.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/units.hh"
@@ -56,6 +58,25 @@ struct CacheAccessResult
 
 /**
  * One level of tag-only set-associative cache.
+ *
+ * The victim rule, which any tag-store layout must reproduce exactly
+ * (tests/cache/naive_cache.hh is the reference it is checked against):
+ *   - the lowest-numbered invalid way, if the set has one;
+ *   - else, for LRU, the least recently accessed way (hits and
+ *     inserts count as uses; fill() of a resident line does not);
+ *   - else, for FIFO, the way inserted longest ago;
+ *   - else, for Random, way _rng.nextBelow(ways). The draw happens
+ *     only when the set is full.
+ *
+ * Layout: each set is one 64-byte-aligned block of `ways` 32-bit tags
+ * (padded to a multiple of 4) followed by `ways` one-byte recency
+ * ranks (padded to a multiple of 16); a 20-way set is 128 B. A valid
+ * way's rank is its position in the set's use order (LRU) or insertion
+ * order (FIFO, Random): 0 = newest, ways-1 = the next victim. kInvalid
+ * (0xFF) marks an empty way and every padding slot. Ways fill in index
+ * order and only flush() empties them, so the valid ways of a set are
+ * always a prefix. One branch-free scan finds both the hit and the
+ * victim.
  */
 class Cache
 {
@@ -99,31 +120,89 @@ class Cache
     }
 
   private:
-    /**
-     * 16 bytes, not 24 with a separate valid flag: a 35 MiB LLC's
-     * array is 9.2 MB instead of 13.8 MB, and every system builds one.
-     */
-    struct Way
-    {
-        std::uint64_t tag = 0;
-        /**
-         * LRU: last use; FIFO: insert time. Stamps come from _clock,
-         * which is incremented before use, so 0 means invalid.
-         */
-        std::uint64_t stamp = 0;
+    /** Rank of an empty way; ranks of valid ways are 0..ways-1. */
+    static constexpr std::uint8_t kInvalid = 0xFF;
 
-        bool valid() const { return stamp != 0; }
+    /**
+     * Allocates the tag store on host cache-line boundaries, through
+     * the store pool in cache.cc: a destroyed cache's store is kept
+     * for the next cache of the same size, up to a fixed total.
+     */
+    template <typename T>
+    struct StoreAllocator
+    {
+        using value_type = T;
+
+        StoreAllocator() = default;
+        template <typename U>
+        StoreAllocator(const StoreAllocator<U> &)
+        {
+        }
+
+        T *
+        allocate(std::size_t n)
+        {
+            return static_cast<T *>(acquireStore(n * sizeof(T)));
+        }
+        void
+        deallocate(T *p, std::size_t n)
+        {
+            releaseStore(p, n * sizeof(T));
+        }
+
+        bool operator==(const StoreAllocator &) const { return true; }
+        bool operator!=(const StoreAllocator &) const { return false; }
     };
 
-    std::uint64_t setIndex(Addr line) const { return line % _sets; }
-    std::uint64_t tagOf(Addr line) const { return line / _sets; }
-    std::size_t victimWay(std::uint64_t set);
+    static void *acquireStore(std::size_t bytes);
+    static void releaseStore(void *p, std::size_t bytes);
+
+    /** Where a line lives, and what one scan of its set found. */
+    struct SetScan
+    {
+        std::uint64_t set;
+        std::uint32_t tag;
+        std::uint32_t hitWay; //!< == ways when the line is absent
+        std::uint32_t victim; //!< first invalid way, else rank ways-1
+    };
+
+    static const CacheConfig &validated(const CacheConfig &cfg);
+
+    SetScan scan(Addr addr) const;
+    CacheAccessResult install(const SetScan &s);
+    void promote(std::uint64_t set, std::uint32_t way);
+
+    const std::uint32_t *
+    tagsOf(std::uint64_t set) const
+    {
+        return _store.data() + set * _setWords;
+    }
+    std::uint32_t *
+    tagsOf(std::uint64_t set)
+    {
+        return _store.data() + set * _setWords;
+    }
+    const std::uint8_t *
+    ranksOf(const std::uint32_t *tags) const
+    {
+        return reinterpret_cast<const std::uint8_t *>(tags + _rankOffset);
+    }
+    std::uint8_t *
+    ranksOf(std::uint32_t *tags) const
+    {
+        return reinterpret_cast<std::uint8_t *>(tags + _rankOffset);
+    }
 
     CacheConfig _cfg;
     std::uint64_t _sets;
+    std::uint32_t _ways;
+    std::uint32_t _rankOffset; //!< tag words per set: ways, padded to 4
+    std::uint64_t _setWords;   //!< words per set, a multiple of 16
+    Divider _lineDiv;          //!< byte address -> line
+    Divider _setDiv;           //!< line -> (tag, set)
     Tick _hitLatency;
-    std::vector<Way> _ways; //!< _sets x _cfg.ways, row-major
-    std::uint64_t _clock = 0;
+    /** _sets x _setWords words, each set starting a host cache line. */
+    std::vector<std::uint32_t, StoreAllocator<std::uint32_t>> _store;
     Rng _rng{0xC0FFEE};
 
     std::uint64_t _accesses = 0;

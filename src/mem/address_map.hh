@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "sim/divider.hh"
 #include "sim/units.hh"
 
 namespace centaur {
@@ -50,26 +51,38 @@ class AddressMap
     map(Addr addr) const
     {
         const std::uint64_t line = addr / 64;
+        const std::uint64_t chan_line = _channels.quot(line);
         const auto channel =
-            static_cast<std::uint32_t>((line ^ (line >> 7)) % _channels);
-        const std::uint64_t chan_line = line / _channels;
+            static_cast<std::uint32_t>(_channels.rem(line ^ (line >> 7)));
+        const std::uint64_t row_major = _linesPerRow.quot(chan_line);
         const auto column =
-            static_cast<std::uint32_t>(chan_line % _linesPerRow);
-        const std::uint64_t row_major = chan_line / _linesPerRow;
-        const std::uint64_t row = row_major / _banks;
-        const auto bank = static_cast<std::uint32_t>(
-            (row_major ^ row) % _banks);
+            static_cast<std::uint32_t>(chan_line - row_major * linesPerRow());
+        const std::uint64_t row = _banks.quot(row_major);
+        const auto bank =
+            static_cast<std::uint32_t>(_banks.rem(row_major ^ row));
         return DramCoord{channel, bank, row, column};
     }
 
-    std::uint32_t channels() const { return _channels; }
-    std::uint32_t banksPerChannel() const { return _banks; }
-    std::uint32_t linesPerRow() const { return _linesPerRow; }
+    std::uint32_t
+    channels() const
+    {
+        return static_cast<std::uint32_t>(_channels.divisor());
+    }
+    std::uint32_t
+    banksPerChannel() const
+    {
+        return static_cast<std::uint32_t>(_banks.divisor());
+    }
+    std::uint32_t
+    linesPerRow() const
+    {
+        return static_cast<std::uint32_t>(_linesPerRow.divisor());
+    }
 
   private:
-    std::uint32_t _channels;
-    std::uint32_t _banks;
-    std::uint32_t _linesPerRow;
+    Divider _channels;
+    Divider _banks;
+    Divider _linesPerRow;
 };
 
 } // namespace centaur

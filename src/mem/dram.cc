@@ -7,13 +7,15 @@ namespace centaur {
 DramModel::DramModel(const DramConfig &cfg)
     : _cfg(cfg),
       _map(cfg.channels, cfg.banksPerChannel(), cfg.linesPerRow()),
-      _banks(cfg.channels,
-             std::vector<BankState>(cfg.banksPerChannel())),
+      _banks(static_cast<std::size_t>(cfg.channels) *
+             cfg.banksPerChannel()),
       _tRcd(ticksFromNs(cfg.tRcdNs)),
       _tCas(ticksFromNs(cfg.tCasNs)), _tRp(ticksFromNs(cfg.tRpNs)),
       _burst(ticksFromNs(cfg.burstNs)),
       _controller(ticksFromNs(cfg.controllerNs)),
-      _tRefi(ticksFromNs(cfg.tRefiNs)), _tRfc(ticksFromNs(cfg.tRfcNs))
+      _tRefi(ticksFromNs(cfg.tRefiNs)),
+      _refiDiv(_tRefi > 0 ? _tRefi : 1), _tRfc(ticksFromNs(cfg.tRfcNs)),
+      _bytes(_stats.scalar("bytes")), _latency(_stats.average("latency_ns"))
 {
     _bus.reserve(cfg.channels);
     for (std::uint32_t ch = 0; ch < cfg.channels; ++ch)
@@ -24,7 +26,10 @@ DramAccessResult
 DramModel::access(Addr addr, Tick issue)
 {
     const DramCoord coord = _map.map(addr);
-    BankState &bank = _banks[coord.channel][coord.bank];
+    BankState &bank =
+        _banks[static_cast<std::size_t>(coord.channel) *
+                   _map.banksPerChannel() +
+               coord.bank];
 
     Tick start = std::max(issue + _controller, bank.readyAt);
 
@@ -32,7 +37,7 @@ DramModel::access(Addr addr, Tick issue)
     // the tail of each tREFI period wait it out; refresh also closes
     // every row buffer.
     if (_tRefi > 0) {
-        const Tick period_end = (start / _tRefi + 1) * _tRefi;
+        const Tick period_end = (_refiDiv.quot(start) + 1) * _tRefi;
         if (start >= period_end - _tRfc) {
             start = period_end;
             bank.open = false;
@@ -63,8 +68,8 @@ DramModel::access(Addr addr, Tick issue)
     ++_reads;
     if (res.rowHit)
         ++_rowHits;
-    _stats.scalar("bytes") += static_cast<double>(_cfg.lineBytes);
-    _stats.average("latency_ns").sample(nsFromTicks(done - issue));
+    _bytes += static_cast<double>(_cfg.lineBytes);
+    _latency.sample(nsFromTicks(done - issue));
 
     res.completion = done;
     return res;
@@ -87,8 +92,7 @@ DramModel::accessRange(Addr addr, std::uint64_t bytes, Tick issue)
 void
 DramModel::reset()
 {
-    for (auto &channel : _banks)
-        std::fill(channel.begin(), channel.end(), BankState{});
+    std::fill(_banks.begin(), _banks.end(), BankState{});
     for (ResourceClock &bus : _bus)
         bus.reset();
     _reads = 0;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "mem/address_map.hh"
+#include "sim/divider.hh"
 #include "sim/resource.hh"
 #include "sim/stats.hh"
 #include "sim/units.hh"
@@ -89,6 +90,10 @@ class DramModel
   public:
     explicit DramModel(const DramConfig &cfg = DramConfig{});
 
+    // _bytes and _latency point into _stats.
+    DramModel(const DramModel &) = delete;
+    DramModel &operator=(const DramModel &) = delete;
+
     /** Access one 64 B line. */
     DramAccessResult access(Addr addr, Tick issue);
 
@@ -127,8 +132,8 @@ class DramModel
 
     DramConfig _cfg;
     AddressMap _map;
-    std::vector<std::vector<BankState>> _banks; //!< [channel][bank]
-    std::vector<ResourceClock> _bus;            //!< data bus per channel
+    std::vector<BankState> _banks;   //!< [channel][bank], row-major
+    std::vector<ResourceClock> _bus; //!< data bus per channel
 
     Tick _tRcd;
     Tick _tCas;
@@ -136,11 +141,14 @@ class DramModel
     Tick _burst;
     Tick _controller;
     Tick _tRefi;
+    Divider _refiDiv; //!< start tick -> refresh period (if _tRefi > 0)
     Tick _tRfc;
 
     std::uint64_t _reads = 0;
     std::uint64_t _rowHits = 0;
     StatGroup _stats{"dram"};
+    StatScalar &_bytes;     //!< _stats "bytes"
+    StatAverage &_latency;  //!< _stats "latency_ns"
 };
 
 } // namespace centaur

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "sim/random.hh"
@@ -34,6 +36,41 @@ TEST(Cache, SecondAccessHits)
     c.access(0);
     EXPECT_TRUE(c.access(0).hit);
     EXPECT_EQ(c.hits(), 1u);
+}
+
+TEST(Cache, RebuiltCacheStartsEmpty)
+{
+    // The new cache may be handed the tag store of the one destroyed.
+    {
+        Cache used(smallCache());
+        for (Addr line = 0; line < 8; ++line)
+            used.access(line * 64);
+    }
+    Cache c(smallCache());
+    for (Addr line = 0; line < 8; ++line) {
+        EXPECT_FALSE(c.probe(line * 64));
+        EXPECT_FALSE(c.access(line * 64).evictedValid);
+    }
+    EXPECT_EQ(c.misses(), 8u);
+}
+
+TEST(Cache, CachesBuiltOnManyThreadsStartEmpty)
+{
+    // Concurrent builds and teardowns share the pool of tag stores.
+    std::vector<std::thread> threads;
+    std::vector<int> dirty(4, 0);
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([t, &dirty] {
+            for (int round = 0; round < 200; ++round) {
+                Cache c(smallCache());
+                for (Addr line = 0; line < 8; ++line)
+                    dirty[t] += c.access(line * 64).evictedValid;
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(dirty, std::vector<int>(4, 0));
 }
 
 TEST(Cache, SameLineDifferentBytesHit)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -87,6 +88,54 @@ TEST(AddressMap, DistinctLinesWithinRowGetDistinctColumns)
         seen[c.column] = true;
     }
 }
+
+/** The interleave spelled with hardware `/` and `%`. */
+DramCoord
+naiveMap(Addr addr, std::uint64_t channels, std::uint64_t banks,
+         std::uint64_t lines_per_row)
+{
+    const std::uint64_t line = addr / 64;
+    const std::uint64_t chan_line = line / channels;
+    const std::uint64_t row_major = chan_line / lines_per_row;
+    const std::uint64_t row = row_major / banks;
+    return DramCoord{
+        static_cast<std::uint32_t>((line ^ (line >> 7)) % channels),
+        static_cast<std::uint32_t>((row_major ^ row) % banks), row,
+        static_cast<std::uint32_t>(chan_line % lines_per_row)};
+}
+
+using MapGeometry = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;
+
+class AddressMapNaiveTest : public ::testing::TestWithParam<MapGeometry>
+{
+};
+
+TEST_P(AddressMapNaiveTest, MatchesHardwareDivision)
+{
+    const auto [channels, banks, lines_per_row] = GetParam();
+    AddressMap map(channels, banks, lines_per_row);
+    Rng rng(channels * 1000003ULL + banks * 101 + lines_per_row);
+    for (int i = 0; i < 50000; ++i) {
+        // Full 64-bit addresses, then the simulator's < 2^40 range.
+        const Addr addrs[] = {rng.next(), rng.next() % (Addr{1} << 40)};
+        for (const Addr a : addrs) {
+            const DramCoord got = map.map(a);
+            const DramCoord want =
+                naiveMap(a, channels, banks, lines_per_row);
+            ASSERT_TRUE(got == want)
+                << "addr " << a << ": channel " << got.channel << "/"
+                << want.channel << " bank " << got.bank << "/"
+                << want.bank << " row " << got.row << "/" << want.row
+                << " column " << got.column << "/" << want.column;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, AddressMapNaiveTest,
+    ::testing::Values(MapGeometry{4, 32, 128}, // DDR4 default
+                      MapGeometry{3, 24, 96},  // no power of two
+                      MapGeometry{6, 48, 256}, MapGeometry{1, 1, 1}));
 
 TEST(AddressMap, AccessorsReflectConstruction)
 {
