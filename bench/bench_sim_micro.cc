@@ -227,8 +227,29 @@ BM_ReferenceForward(benchmark::State &state)
 }
 BENCHMARK(BM_ReferenceForward);
 
-// rm-wide's bottom stack (13->1024->512->32). Each weight is hashed
-// once per batch, so the per-sample cost falls as the batch grows.
+// The whole golden forward pass (embedding reduction, both MLPs,
+// interaction) at batch 8: rm-wide is MLP-bound, dlrm4 is bound by
+// embedding-row synthesis, rm-small is small in both.
+void
+BM_ReferenceModelForward(benchmark::State &state, const char *name)
+{
+    const DlrmConfig cfg = parseModel(name);
+    ReferenceModel model(cfg);
+    WorkloadConfig wl;
+    wl.batch = 8;
+    WorkloadGenerator gen(cfg, wl);
+    const InferenceBatch batch = gen.next();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(model.forward(batch));
+    state.SetItemsProcessed(state.iterations() * wl.batch);
+}
+BENCHMARK_CAPTURE(BM_ReferenceModelForward, rm_wide, "rm-wide");
+BENCHMARK_CAPTURE(BM_ReferenceModelForward, dlrm4, "dlrm4");
+BENCHMARK_CAPTURE(BM_ReferenceModelForward, rm_small, "rm-small");
+
+// rm-wide's bottom stack (13->1024->512->32) over its shared parameter
+// block. Four samples share each pass over the weights, so the
+// per-sample cost falls as the batch grows.
 void
 BM_MlpForwardBatch(benchmark::State &state)
 {

@@ -1,5 +1,7 @@
 #include "core/system_builder.hh"
 
+#include <optional>
+
 #include "cache/hierarchy.hh"
 #include "cpu/cpu_backend.hh"
 #include "fpga/fpga_backend.hh"
@@ -27,9 +29,17 @@ class ComposedSystem : public System
                    Fabric *fabric, CacheTier *cache_tier)
         : System(model, power), _spec(spec), _specName(specName(spec)),
           _anchor(anchorDesignPoint(spec)),
-          _watts(specWatts(spec, power)),
-          _hier(broadwellHierarchyConfig()), _dram(dram)
+          _watts(specWatts(spec, power))
     {
+        // Only host-side stages read the CPU cache hierarchy and the
+        // DRAM model; a GPU-gathering system with an accelerator MLP
+        // never builds them (nor the 3.7 MB LLC tag store).
+        if (spec.emb == EmbBackendKind::CpuGather ||
+            spec.emb == EmbBackendKind::EbStreamer ||
+            spec.mlp == MlpBackendKind::Cpu) {
+            _hier.emplace(broadwellHierarchyConfig());
+            _dram.emplace(dram);
+        }
         // Hot-row cache tier: an externally shared (node-level) tier
         // wins; otherwise a cache-enabled spec gets a private one.
         if (cache_tier) {
@@ -41,20 +51,20 @@ class ComposedSystem : public System
         }
         switch (spec.emb) {
           case EmbBackendKind::CpuGather:
-            _emb = std::make_unique<CpuGatherBackend>(cpu, _hier,
-                                                      _dram, _model);
+            _emb = std::make_unique<CpuGatherBackend>(cpu, *_hier,
+                                                      *_dram, _model);
             break;
           case EmbBackendKind::GpuGather:
             _emb = std::make_unique<GpuGatherBackend>(gpu, _model);
             break;
           case EmbBackendKind::EbStreamer:
-            _emb = std::make_unique<EbGatherBackend>(fpga, _hier,
-                                                     _dram, _model);
+            _emb = std::make_unique<EbGatherBackend>(fpga, *_hier,
+                                                     *_dram, _model);
             break;
         }
         switch (spec.mlp) {
           case MlpBackendKind::Cpu:
-            _mlp = std::make_unique<CpuMlpBackend>(cpu, _hier, _dram,
+            _mlp = std::make_unique<CpuMlpBackend>(cpu, *_hier, *_dram,
                                                    _model);
             break;
           case MlpBackendKind::Gpu:
@@ -134,8 +144,8 @@ class ComposedSystem : public System
     std::string _specName;
     DesignPoint _anchor;
     double _watts;
-    CacheHierarchy _hier;
-    DramModel _dram;
+    std::optional<CacheHierarchy> _hier;
+    std::optional<DramModel> _dram;
     std::unique_ptr<CacheTier> _ownedCache;
     CacheTier *_cache = nullptr;
     std::unique_ptr<EmbeddingBackend> _emb;

@@ -3,7 +3,8 @@
  * SystemBuilder: assembles any registered backend spec
  * (core/backend.hh) into a runnable ComposedSystem - one
  * EmbeddingBackend plus one MlpBackend over the shared platform
- * state (CPU cache hierarchy + DRAM), with interconnect hop costs
+ * state (CPU cache hierarchy + DRAM, built only when a host-side
+ * stage reads them), with interconnect hop costs
  * decided by the spec's placement. The paper's three design points
  * are canned presets ("cpu", "cpu+gpu", "cpu+fpga") that reproduce
  * the monolithic CpuOnlySystem / CpuGpuSystem / CentaurSystem

@@ -114,8 +114,7 @@ CpuMlpBackend::run(const InferenceBatch &batch,
     res.phase[static_cast<std::size_t>(Phase::Other)] += concat;
 
     // ----- top MLP (MLP) -----
-    const std::uint64_t bottom_params =
-        Mlp(1, cfg.bottomLayerDims()).paramCount();
+    const std::uint64_t bottom_params = _model.bottomMlp().paramCount();
     now = runMlpStack(cfg.topLayerDims(), batch.batch,
                       _model.layout().outputBase,
                       _model.layout().mlpWeightBase +

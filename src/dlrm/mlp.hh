@@ -9,6 +9,7 @@
 #define CENTAUR_DLRM_MLP_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace centaur {
@@ -23,11 +24,16 @@ enum class Activation : std::uint8_t
 /**
  * A dense MLP: y = act(W x + b) per layer. Parameters are synthesized
  * deterministically from (mlp_id, layer, i, j) hashes so CPU, GPU and
- * FPGA models all see identical weights with no storage or loading.
+ * FPGA models all see identical weights with no loading.
  *
  * weight() and bias() are paramgen::hashedFloat(), the definition.
- * forwardBatch() hashes each weight once per batch from a hoisted
- * (layer, out) prefix and must stay bit-identical to the naive loop
+ * The constructor takes the parameter block of its (mlp_id, dims)
+ * from a process-wide registry, which synthesizes it once: per layer,
+ * the out x in weights row-major, then the out biases. Every Mlp of
+ * that shape shares the block; the registry holds at most 64 MiB of
+ * parameters, and a shape that no longer fits gets a private block.
+ * forwardBatch() is a 4-output x 4-sample register-blocked GEMM over
+ * the block and must stay bit-identical to the naive loop
  * acc = bias(l, o); acc += weight(l, o, i) * x[i] for i in order.
  */
 class Mlp
@@ -68,11 +74,15 @@ class Mlp
     /** Multiply-accumulates per forwarded sample. */
     std::uint64_t macsPerSample() const;
 
+    /** The parameter block: per layer, weights row-major, then biases. */
+    const float *params() const { return _params->data(); }
+
   private:
     std::uint64_t _id;
     std::vector<std::uint32_t> _dims;
     Activation _hiddenAct;
     Activation _finalAct;
+    std::shared_ptr<const std::vector<float>> _params;
 };
 
 /** Numerically exact logistic sigmoid (reference). */

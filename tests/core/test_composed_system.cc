@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <iterator>
 #include <memory>
 
 // The monolithic reference classes are reached through the
@@ -18,6 +20,7 @@
 #include "core/compat.hh"
 #include "core/system.hh"
 #include "core/system_builder.hh"
+#include "dlrm/model_registry.hh"
 
 namespace centaur {
 namespace {
@@ -171,6 +174,62 @@ TEST(ComposedSystem, EveryRegisteredSpecRunsAndAccountsPhases)
             EXPECT_NEAR(r.probabilities[i], golden.probabilities[i],
                         2e-3f);
     }
+}
+
+TEST(ComposedSystem, GpuStageSpecsKeepTheirFrozenTimings)
+{
+    // Systems that gather on the GPU build no host cache or DRAM
+    // model. Freeze each GPU-stage spec's start, end and phase array
+    // (one system, batch 1 then batch 8) against the values the
+    // simulator gave when every system still built both models.
+    struct Frozen
+    {
+        const char *model;
+        const char *spec;
+        std::uint32_t batch;
+        Tick start;
+        Tick end;
+        std::array<Tick, kNumPhases> phase;
+    };
+    const Frozen frozen[] = {
+        {"dlrm1", "cpu+gpu", 1, 0u, 130175964u, {0u, 25599760u, 0u, 60479798u, 44096406u}},
+        {"dlrm1", "cpu+gpu", 8, 130175964u, 277683009u, {0u, 38897400u, 0u, 63838399u, 44771246u}},
+        {"dlrm1", "gpu", 1, 0u, 130822872u, {12033334u, 14266667u, 12004334u, 60479798u, 32038739u}},
+        {"dlrm1", "gpu", 8, 130822872u, 295405851u, {12266667u, 44133334u, 12034667u, 63838399u, 32309912u}},
+        {"dlrm1", "gpu+fpga", 1, 0u, 50892336u, {12033334u, 14266667u, 12004334u, 2465000u, 10123001u}},
+        {"dlrm1", "gpu+fpga", 8, 50892336u, 136156005u, {12266667u, 44133334u, 12034667u, 6265000u, 10564001u}},
+        {"rm-wide", "cpu+gpu", 1, 0u, 152314684u, {0u, 39610450u, 0u, 68527828u, 44176406u}},
+        {"rm-wide", "cpu+gpu", 8, 152314684u, 339039389u, {0u, 60356360u, 0u, 80957099u, 45411246u}},
+        {"rm-wide", "gpu", 1, 0u, 140122902u, {12042667u, 15461334u, 12004334u, 68527828u, 32086739u}},
+        {"rm-wide", "gpu", 8, 140122902u, 331840581u, {12341334u, 53690667u, 12034667u, 80957099u, 32693912u}},
+        {"rm-wide", "gpu+fpga", 1, 0u, 59353336u, {12042667u, 15461334u, 12004334u, 9690000u, 10155001u}},
+        {"rm-wide", "gpu+fpga", 8, 59353336u, 195160005u, {12341334u, 53690667u, 12034667u, 46920000u, 10820001u}},
+    };
+    std::size_t next = 0;
+    for (const char *model : {"dlrm1", "rm-wide"}) {
+        const DlrmConfig cfg = parseModel(model);
+        for (const std::string &spec : registeredSpecs()) {
+            const SystemSpec s = parseSpec(spec);
+            if (s.emb != EmbBackendKind::GpuGather &&
+                s.mlp != MlpBackendKind::Gpu)
+                continue;
+            auto sys = makeSystem(spec, cfg);
+            for (std::uint32_t batch : {1u, 8u}) {
+                ASSERT_LT(next, std::size(frozen));
+                const Frozen &f = frozen[next++];
+                SCOPED_TRACE(testing::Message() << model << " " << spec
+                                                << " batch " << batch);
+                ASSERT_EQ(std::string(f.model), model);
+                ASSERT_EQ(f.spec, spec);
+                ASSERT_EQ(f.batch, batch);
+                const InferenceResult r = sys->infer(makeBatch(cfg, batch));
+                EXPECT_EQ(r.start, f.start);
+                EXPECT_EQ(r.end, f.end);
+                EXPECT_EQ(r.phase, f.phase);
+            }
+        }
+    }
+    EXPECT_EQ(next, std::size(frozen));
 }
 
 TEST(ComposedSystem, InternalClockAdvancesAcrossInferences)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "dlrm/mlp.hh"
@@ -142,6 +145,109 @@ TEST(MlpBitExact, ForwardBatchMatchesNaiveLoopOnPresetShapes)
                         mlp.forward(in.data() + (batch - 1) * dims.front()),
                         last));
                 }
+    }
+}
+
+TEST(MlpBitExact, ForwardBatchCoversKernelTailsAndPaddingLanes)
+{
+    // Output widths off the 4-wide block, a 1-wide input and every
+    // batch remainder of the 4-sample groups.
+    const std::vector<std::vector<std::uint32_t>> shapes = {
+        {1, 1},    {1, 2},    {1, 3},       {1, 5},      {1, 7},
+        {5, 1},    {6, 2},    {9, 3},       {4, 5},      {3, 7},
+        {1, 8, 5}, {7, 3, 1}, {2, 5, 7, 2}, {13, 6, 4, 3}};
+    for (const auto &dims : shapes)
+        for (Activation final_act : {Activation::Relu, Activation::None})
+            for (std::uint32_t batch = 1; batch <= 9; ++batch) {
+                SCOPED_TRACE(testing::Message()
+                             << "in=" << dims.front() << " layers="
+                             << dims.size() - 1 << " out=" << dims.back()
+                             << " batch=" << batch);
+                const Mlp mlp(6, dims, Activation::Relu, final_act);
+                const auto in = testInputs(batch * dims.front(), batch + 40);
+                EXPECT_TRUE(naive::bitEqual(
+                    mlp.forwardBatch(in.data(), batch),
+                    naive::mlpForward(mlp, Activation::Relu, final_act,
+                                      in.data(), batch)));
+            }
+}
+
+/** weight() and bias() laid out as the parameter block promises. */
+std::vector<float>
+expectedBlock(const Mlp &mlp)
+{
+    std::vector<float> block;
+    for (std::size_t l = 0; l < mlp.layers(); ++l) {
+        for (std::uint32_t o = 0; o < mlp.dims()[l + 1]; ++o)
+            for (std::uint32_t i = 0; i < mlp.dims()[l]; ++i)
+                block.push_back(mlp.weight(l, o, i));
+        for (std::uint32_t o = 0; o < mlp.dims()[l + 1]; ++o)
+            block.push_back(mlp.bias(l, o));
+    }
+    return block;
+}
+
+TEST(MlpParams, BlockIsWeightAndBiasOfEveryRegisteredModel)
+{
+    for (const ModelInfo &info : modelRegistry()) {
+        // ReferenceModel's ids: 1 for the bottom stack, 2 for the top.
+        const Mlp bottom(1, info.config.bottomLayerDims());
+        const Mlp top(2, info.config.topLayerDims());
+        for (const Mlp *mlp : {&bottom, &top}) {
+            SCOPED_TRACE(testing::Message()
+                         << info.name << " in=" << mlp->inputDim());
+            const auto expect = expectedBlock(*mlp);
+            ASSERT_EQ(expect.size(), mlp->paramCount());
+            EXPECT_EQ(std::memcmp(mlp->params(), expect.data(),
+                                  expect.size() * sizeof(float)),
+                      0);
+        }
+    }
+}
+
+TEST(MlpParams, SameIdAndDimsShareOneBlock)
+{
+    const Mlp a(21, {8, 4, 3});
+    const Mlp same(21, {8, 4, 3}, Activation::None, Activation::None);
+    const Mlp copy = a;
+    const Mlp other_id(22, {8, 4, 3});
+    const Mlp other_dims(21, {8, 4, 2});
+    EXPECT_EQ(a.params(), same.params());
+    EXPECT_EQ(a.params(), copy.params());
+    EXPECT_NE(a.params(), other_id.params());
+    EXPECT_NE(a.params(), other_dims.params());
+}
+
+TEST(MlpParams, ConcurrentBuildsOfAFreshShapeAgree)
+{
+    // Every thread builds the same never-seen shape at once, so the
+    // registry's first insert races with the others' lookups.
+    constexpr int kThreads = 8;
+    const std::vector<std::uint32_t> dims = {37, 29, 11};
+    const std::uint32_t batch = 5;
+    const auto in = testInputs(batch * dims.front(), 99);
+    std::vector<std::vector<float>> outs(kThreads);
+    std::vector<const float *> blocks(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            const Mlp mlp(4242, dims);
+            blocks[t] = mlp.params();
+            outs[t] = mlp.forwardBatch(in.data(), batch);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    const Mlp mlp(4242, dims);
+    const auto expect = naive::mlpForward(mlp, Activation::Relu,
+                                          Activation::Relu, in.data(), batch);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_TRUE(naive::bitEqual(outs[t], expect)) << "thread " << t;
+        EXPECT_EQ(blocks[t], mlp.params()) << "thread " << t;
     }
 }
 
