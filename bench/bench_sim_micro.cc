@@ -3,15 +3,18 @@
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue scheduling, cache tag lookups (miss-heavy, hit-heavy and
  * the full L1/L2/LLC chain), DRAM bank timing, the Zipf sampler, the
- * EB-Streamer gather loop and the functional forward pass. These
+ * EB-Streamer gather loop, the hot-row cache tier and the functional
+ * forward pass. These
  * bound the wall-clock cost of the paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cache/hierarchy.hh"
+#include "cachetier/cache_tier.hh"
 #include "dlrm/model_registry.hh"
 #include "dlrm/reference_model.hh"
+#include "dlrm/workload.hh"
 #include "fpga/mlp_unit.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
@@ -200,6 +203,49 @@ BM_WorkloadZipfBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * cfg.totalLookups(16));
 }
 BENCHMARK(BM_WorkloadZipfBatch);
+
+// The hot-row tier's lookup loop: zipf:1.1 over 200k rows into a
+// 32k-row (4 MiB of 128 B rows) tier, one 40-lookup batch per
+// iteration. The tier is warmed past its fill first, so hits,
+// evictions and (with ghost) admission filtering all run.
+void
+BM_CacheTierAnnotate(benchmark::State &state, CachePolicy policy,
+                     bool ghost)
+{
+    constexpr std::uint32_t kRowBytes = 128;
+    constexpr std::size_t kLookups = 40;
+    constexpr std::size_t kBatches = 4096;
+    CacheTierConfig cfg;
+    cfg.capacityMB = 4.0;
+    cfg.policy = policy;
+    cfg.ghost = ghost;
+    CacheTier tier(cfg, kRowBytes);
+
+    const ZipfAliasSampler zipf(200000, 1.1);
+    Rng rng(42);
+    std::vector<InferenceBatch> batches(kBatches);
+    for (InferenceBatch &b : batches) {
+        b.batch = 1;
+        b.lookupsPerTable = kLookups;
+        b.indices.assign(1, std::vector<std::uint64_t>(kLookups));
+        for (std::uint64_t &row : b.indices[0])
+            row = zipf.sample(rng);
+    }
+    for (int pass = 0; pass < 4; ++pass)
+        for (const InferenceBatch &b : batches)
+            tier.annotate(b);
+
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tier.annotate(batches[next]));
+        next = (next + 1) % kBatches;
+    }
+    state.SetItemsProcessed(state.iterations() * kLookups);
+}
+BENCHMARK_CAPTURE(BM_CacheTierAnnotate, lru, CachePolicy::Lru, false);
+BENCHMARK_CAPTURE(BM_CacheTierAnnotate, lfu, CachePolicy::Lfu, false);
+BENCHMARK_CAPTURE(BM_CacheTierAnnotate, slru_ghost, CachePolicy::Slru,
+                  true);
 
 void
 BM_MlpUnitGemmTiming(benchmark::State &state)

@@ -41,9 +41,9 @@ CacheHierarchy::access(Addr addr)
         if (_levels[lvl]->access(addr).hit) {
             res.level = static_cast<HitLevel>(lvl);
             res.latency = latency;
-            // Fill upper levels so subsequent accesses hit closer.
-            for (std::size_t up = 0; up < lvl; ++up)
-                _levels[up]->fill(addr);
+            // No upper-level fill: every level above this one just
+            // missed, and Cache::access installs the line on a miss,
+            // so the line is already resident all the way up.
             return res;
         }
     }

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
-#include <tuple>
+#include <variant>
 
 #include "dlrm/workload.hh"
 
@@ -49,122 +48,166 @@ parseNumber(const std::string &token, double *out)
 }
 
 // ------------------------------------------------------------------
-// Eviction policies.
+// Eviction policies. Each is a flat slab of entries indexed by a
+// FlatIndex; find() is the only hash probe on the hit path. Keys are
+// `(table << 32) | row`. CacheTier::annotateWith is instantiated per
+// policy, so none of these calls is virtual.
 // ------------------------------------------------------------------
 
-/** Plain LRU: recency list (front = MRU) + key -> node map. */
-class LruPolicy final : public RowCachePolicy
+/** Plain LRU: one recency list, front = MRU. */
+class LruPolicy
 {
   public:
-    bool
-    contains(std::uint64_t key) const override
-    {
-        return _map.find(key) != _map.end();
-    }
+    explicit LruPolicy(std::uint64_t capacity) : _lru(capacity) {}
 
-    void
-    touch(std::uint64_t key) override
-    {
-        auto it = _map.find(key);
-        _list.splice(_list.begin(), _list, it->second);
-    }
-
-    void
-    insert(std::uint64_t key) override
-    {
-        _list.push_front(key);
-        _map.emplace(key, _list.begin());
-    }
-
-    std::uint64_t
-    evict() override
-    {
-        const std::uint64_t victim = _list.back();
-        _map.erase(victim);
-        _list.pop_back();
-        return victim;
-    }
-
-    std::size_t size() const override { return _map.size(); }
-
-    std::vector<std::uint64_t>
-    keys() const override
-    {
-        std::vector<std::uint64_t> out;
-        out.reserve(_map.size());
-        for (const auto &kv : _map)
-            out.push_back(kv.first);
-        return out;
-    }
+    void prefetch(std::uint64_t key) const { _lru.prefetch(key); }
+    std::uint32_t find(std::uint64_t key) const { return _lru.find(key); }
+    void touch(std::uint32_t slot) { _lru.moveToFront(slot); }
+    void insert(std::uint64_t key) { _lru.pushFront(key); }
+    std::uint64_t evict() { return _lru.popBack(); }
+    std::size_t size() const { return _lru.size(); }
+    std::vector<std::uint64_t> keys() const { return _lru.sortedKeys(); }
 
   private:
-    std::list<std::uint64_t> _list;
-    std::map<std::uint64_t, std::list<std::uint64_t>::iterator> _map;
+    FlatLru _lru;
 };
 
 /**
  * LFU with FIFO tie-break: victims are the lowest-frequency keys,
- * oldest insertion first. The eviction order lives in an ordered
- * set of (freq, seq, key) tuples, so every choice is total-ordered
- * and deterministic.
+ * oldest insertion first. A 4-ary min-heap ordered on the unique
+ * (freq, seq) pair, with each slab entry tracking its heap position,
+ * so every choice is total-ordered and deterministic. seq is the
+ * insertion sequence and survives touches: a key whose frequency
+ * rises keeps its insertion rank among keys of the new frequency,
+ * which is why this is a heap and not O(1) frequency buckets.
  */
-class LfuPolicy final : public RowCachePolicy
+class LfuPolicy
 {
   public:
-    bool
-    contains(std::uint64_t key) const override
+    explicit LfuPolicy(std::uint64_t capacity)
+        : _slab(capacity), _capacity(capacity)
     {
-        return _map.find(key) != _map.end();
+    }
+
+    void prefetch(std::uint64_t key) const { _index.prefetch(key); }
+    std::uint32_t find(std::uint64_t key) const { return _index.find(key); }
+
+    void
+    touch(std::uint32_t slot)
+    {
+        const std::uint32_t pos = _slab[slot].heapPos;
+        ++_heap[pos].freq;
+        siftDown(pos);
     }
 
     void
-    touch(std::uint64_t key) override
+    insert(std::uint64_t key)
     {
-        auto it = _map.find(key);
-        _order.erase({it->second.freq, it->second.seq, key});
-        ++it->second.freq;
-        _order.insert({it->second.freq, it->second.seq, key});
-    }
-
-    void
-    insert(std::uint64_t key) override
-    {
-        const Node node{1, ++_seq};
-        _map.emplace(key, node);
-        _order.insert({node.freq, node.seq, key});
+        const std::uint32_t slot = _slab.alloc();
+        _slab[slot].key = key;
+        _index.insert(key, slot);
+        if (_heap.size() == _heap.capacity())
+            _heap.reserve(cappedGrowth(_heap.size(), _capacity));
+        _heap.push_back(HeapItem{1, ++_seq, slot});
+        siftUp(static_cast<std::uint32_t>(_heap.size() - 1));
     }
 
     std::uint64_t
-    evict() override
+    evict()
     {
-        const auto victim = *_order.begin();
-        _order.erase(_order.begin());
-        _map.erase(std::get<2>(victim));
-        return std::get<2>(victim);
+        const std::uint32_t slot = _heap.front().slot;
+        const std::uint64_t victim = _slab[slot].key;
+        _heap.front() = _heap.back();
+        _heap.pop_back();
+        if (!_heap.empty())
+            siftDown(0);
+        _index.erase(victim);
+        _slab.release(slot);
+        return victim;
     }
 
-    std::size_t size() const override { return _map.size(); }
+    std::size_t size() const { return _heap.size(); }
 
     std::vector<std::uint64_t>
-    keys() const override
+    keys() const
     {
         std::vector<std::uint64_t> out;
-        out.reserve(_map.size());
-        for (const auto &kv : _map)
-            out.push_back(kv.first);
+        out.reserve(_heap.size());
+        for (const HeapItem &item : _heap)
+            out.push_back(_slab[item.slot].key);
         return out;
     }
 
   private:
+    static constexpr std::uint32_t kArity = 4;
+
     struct Node
+    {
+        std::uint64_t key;
+        std::uint32_t heapPos;
+        std::uint32_t next; //!< free-list link
+    };
+
+    struct HeapItem
     {
         std::uint64_t freq;
         std::uint64_t seq;
+        std::uint32_t slot;
+
+        bool
+        operator<(const HeapItem &o) const
+        {
+            return freq != o.freq ? freq < o.freq : seq < o.seq;
+        }
     };
 
-    std::map<std::uint64_t, Node> _map;
-    std::set<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>>
-        _order;
+    void
+    put(std::uint32_t pos, const HeapItem &item)
+    {
+        _heap[pos] = item;
+        _slab[item.slot].heapPos = pos;
+    }
+
+    void
+    siftUp(std::uint32_t pos)
+    {
+        const HeapItem item = _heap[pos];
+        while (pos > 0) {
+            const std::uint32_t parent = (pos - 1) / kArity;
+            if (!(item < _heap[parent]))
+                break;
+            put(pos, _heap[parent]);
+            pos = parent;
+        }
+        put(pos, item);
+    }
+
+    void
+    siftDown(std::uint32_t pos)
+    {
+        const HeapItem item = _heap[pos];
+        const auto n = static_cast<std::uint32_t>(_heap.size());
+        for (;;) {
+            const std::uint32_t first = pos * kArity + 1;
+            if (first >= n)
+                break;
+            const std::uint32_t last = std::min(first + kArity, n);
+            std::uint32_t best = first;
+            for (std::uint32_t c = first + 1; c < last; ++c)
+                if (_heap[c] < _heap[best])
+                    best = c;
+            if (!(_heap[best] < item))
+                break;
+            put(pos, _heap[best]);
+            pos = best;
+        }
+        put(pos, item);
+    }
+
+    FlatIndex _index;
+    Slab<Node> _slab;
+    std::vector<HeapItem> _heap;
+    std::uint64_t _capacity;
     std::uint64_t _seq = 0;
 };
 
@@ -174,95 +217,88 @@ class LfuPolicy final : public RowCachePolicy
  * demoting the protected LRU back to probation MRU when full.
  * Victims come from the probation tail (protected tail only when
  * probation is empty), so scan traffic cannot flush proven-hot rows.
+ * Both segments are lists threaded through one slab; each entry
+ * carries its segment bit.
  */
-class SlruPolicy final : public RowCachePolicy
+class SlruPolicy
 {
   public:
-    bool
-    contains(std::uint64_t key) const override
-    {
-        return _map.find(key) != _map.end();
-    }
+    explicit SlruPolicy(std::uint64_t capacity) : _slab(capacity) {}
+
+    void prefetch(std::uint64_t key) const { _index.prefetch(key); }
+    std::uint32_t find(std::uint64_t key) const { return _index.find(key); }
 
     void
-    touch(std::uint64_t key) override
+    touch(std::uint32_t slot)
     {
-        auto it = _map.find(key);
-        if (it->second.protectedSeg) {
-            _protected.splice(_protected.begin(), _protected,
-                              it->second.node);
+        if (_slab[slot].protectedSeg) {
+            _protected.moveToFront(_slab, slot);
             return;
         }
         // Promote probation -> protected.
-        _protected.splice(_protected.begin(), _probation,
-                          it->second.node);
-        it->second.protectedSeg = true;
-        const std::size_t cap =
-            std::max<std::size_t>(1, size() * 4 / 5);
-        if (_protected.size() > cap) {
+        _probation.unlink(_slab, slot);
+        _protected.pushFront(_slab, slot);
+        _slab[slot].protectedSeg = true;
+        const std::size_t cap = std::max<std::size_t>(1, size() * 4 / 5);
+        if (_protected.size > cap) {
             // Demote the protected LRU back to probation MRU.
-            auto demoted = std::prev(_protected.end());
-            _probation.splice(_probation.begin(), _protected,
-                              demoted);
-            _map.find(*demoted)->second.protectedSeg = false;
+            const std::uint32_t demoted = _protected.tail;
+            _protected.unlink(_slab, demoted);
+            _probation.pushFront(_slab, demoted);
+            _slab[demoted].protectedSeg = false;
         }
     }
 
     void
-    insert(std::uint64_t key) override
+    insert(std::uint64_t key)
     {
-        _probation.push_front(key);
-        _map.emplace(key, Node{_probation.begin(), false});
+        const std::uint32_t slot = _slab.alloc();
+        _slab[slot].key = key;
+        _slab[slot].protectedSeg = false;
+        _index.insert(key, slot);
+        _probation.pushFront(_slab, slot);
     }
 
     std::uint64_t
-    evict() override
+    evict()
     {
-        std::list<std::uint64_t> &seg =
-            _probation.empty() ? _protected : _probation;
-        const std::uint64_t victim = seg.back();
-        _map.erase(victim);
-        seg.pop_back();
+        SlabList &seg = _probation.size ? _probation : _protected;
+        const std::uint32_t slot = seg.tail;
+        const std::uint64_t victim = _slab[slot].key;
+        seg.unlink(_slab, slot);
+        _index.erase(victim);
+        _slab.release(slot);
         return victim;
     }
 
-    std::size_t size() const override { return _map.size(); }
+    std::size_t size() const { return _probation.size + _protected.size; }
 
     std::vector<std::uint64_t>
-    keys() const override
+    keys() const
     {
         std::vector<std::uint64_t> out;
-        out.reserve(_map.size());
-        for (const auto &kv : _map)
-            out.push_back(kv.first);
+        out.reserve(size());
+        for (const SlabList *seg : {&_probation, &_protected})
+            for (std::uint32_t s = seg->head; s != kNoSlot;
+                 s = _slab[s].next)
+                out.push_back(_slab[s].key);
         return out;
     }
 
   private:
     struct Node
     {
-        std::list<std::uint64_t>::iterator node;
+        std::uint64_t key;
+        std::uint32_t prev;
+        std::uint32_t next;
         bool protectedSeg;
     };
 
-    std::list<std::uint64_t> _probation;
-    std::list<std::uint64_t> _protected;
-    std::map<std::uint64_t, Node> _map;
+    FlatIndex _index;
+    Slab<Node> _slab;
+    SlabList _probation;
+    SlabList _protected;
 };
-
-std::unique_ptr<RowCachePolicy>
-makePolicy(CachePolicy p)
-{
-    switch (p) {
-    case CachePolicy::Lfu:
-        return std::make_unique<LfuPolicy>();
-    case CachePolicy::Slru:
-        return std::make_unique<SlruPolicy>();
-    case CachePolicy::Lru:
-    default:
-        return std::make_unique<LruPolicy>();
-    }
-}
 
 } // namespace
 
@@ -388,6 +424,28 @@ CacheStats::operator+=(const CacheStats &o)
 // CacheTier.
 // ------------------------------------------------------------------
 
+struct CacheTier::Policy
+{
+    std::variant<LruPolicy, LfuPolicy, SlruPolicy> impl;
+
+    static std::unique_ptr<Policy>
+    make(CachePolicy p, std::uint64_t capacity)
+    {
+        switch (p) {
+        case CachePolicy::Lfu:
+            return std::make_unique<Policy>(
+                Policy{LfuPolicy(capacity)});
+        case CachePolicy::Slru:
+            return std::make_unique<Policy>(
+                Policy{SlruPolicy(capacity)});
+        case CachePolicy::Lru:
+        default:
+            return std::make_unique<Policy>(
+                Policy{LruPolicy(capacity)});
+        }
+    }
+};
+
 CacheTier::CacheTier(const CacheTierConfig &cfg,
                      std::uint32_t row_bytes)
     : _cfg(cfg), _rowBytes(std::max<std::uint32_t>(1, row_bytes)),
@@ -395,7 +453,8 @@ CacheTier::CacheTier(const CacheTierConfig &cfg,
                    cfg.capacityMB *
                    static_cast<double>(kMiB)) /
                _rowBytes),
-      _policy(makePolicy(cfg.policy)), _ghostCap(_maxRows)
+      _policy(Policy::make(cfg.policy, _maxRows)), _ghostCap(_maxRows),
+      _ghost(_ghostCap)
 {
 }
 
@@ -406,11 +465,10 @@ CacheTier::admit(std::uint64_t key)
 {
     if (!_cfg.ghost)
         return true;
-    auto it = _ghostMap.find(key);
-    if (it != _ghostMap.end()) {
+    const std::uint32_t slot = _ghost.find(key);
+    if (slot != kNoSlot) {
         // Second touch inside the ghost window: admit for real.
-        _ghostList.erase(it->second);
-        _ghostMap.erase(it);
+        _ghost.erase(slot);
         return true;
     }
     ghostInsert(key);
@@ -423,17 +481,56 @@ CacheTier::ghostInsert(std::uint64_t key)
 {
     if (_ghostCap == 0)
         return;
-    auto it = _ghostMap.find(key);
-    if (it != _ghostMap.end()) {
-        _ghostList.splice(_ghostList.begin(), _ghostList,
-                          it->second);
+    const std::uint32_t slot = _ghost.find(key);
+    if (slot != kNoSlot) {
+        _ghost.moveToFront(slot);
         return;
     }
-    _ghostList.push_front(key);
-    _ghostMap.emplace(key, _ghostList.begin());
-    if (_ghostMap.size() > _ghostCap) {
-        _ghostMap.erase(_ghostList.back());
-        _ghostList.pop_back();
+    // Dropping the LRU before the push keeps the ghost within
+    // _ghostCap; the survivors are the same as push-then-drop.
+    if (_ghost.size() >= _ghostCap)
+        _ghost.popBack();
+    _ghost.pushFront(key);
+}
+
+template <class P>
+void
+CacheTier::annotateWith(P &policy, const InferenceBatch &batch,
+                        Access &acc)
+{
+    const auto keyOf = [](std::size_t t, std::uint64_t row) {
+        return (static_cast<std::uint64_t>(t) << 32) | (row & 0xffffffffULL);
+    };
+    // Start every first probe of the batch up front so their host
+    // cache misses overlap instead of serializing in the loop below.
+    for (std::size_t t = 0; t < batch.indices.size(); ++t)
+        for (const std::uint64_t row : batch.indices[t])
+            policy.prefetch(keyOf(t, row));
+
+    for (std::size_t t = 0; t < batch.indices.size(); ++t) {
+        const std::vector<std::uint64_t> &rows = batch.indices[t];
+        std::vector<std::uint8_t> &mask = batch.cacheHit[t];
+        mask.assign(rows.size(), 0);
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const std::uint64_t key = keyOf(t, rows[i]);
+            const std::uint32_t slot = policy.find(key);
+            if (slot != kNoSlot) {
+                policy.touch(slot);
+                mask[i] = 1;
+                ++acc.hits;
+                continue;
+            }
+            ++acc.misses;
+            if (!admit(key))
+                continue;
+            while (policy.size() >= _maxRows) {
+                const std::uint64_t victim = policy.evict();
+                ++_evictions;
+                if (_cfg.ghost)
+                    ghostInsert(victim);
+            }
+            policy.insert(key);
+        }
     }
 }
 
@@ -452,32 +549,8 @@ CacheTier::annotate(const InferenceBatch &batch)
         _misses += acc.misses;
         return acc;
     }
-    for (std::size_t t = 0; t < batch.indices.size(); ++t) {
-        const std::vector<std::uint64_t> &rows = batch.indices[t];
-        std::vector<std::uint8_t> &mask = batch.cacheHit[t];
-        mask.assign(rows.size(), 0);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const std::uint64_t key =
-                (static_cast<std::uint64_t>(t) << 32) |
-                (rows[i] & 0xffffffffULL);
-            if (_policy->contains(key)) {
-                _policy->touch(key);
-                mask[i] = 1;
-                ++acc.hits;
-                continue;
-            }
-            ++acc.misses;
-            if (!admit(key))
-                continue;
-            while (_policy->size() >= _maxRows) {
-                const std::uint64_t victim = _policy->evict();
-                ++_evictions;
-                if (_cfg.ghost)
-                    ghostInsert(victim);
-            }
-            _policy->insert(key);
-        }
-    }
+    std::visit([&](auto &policy) { annotateWith(policy, batch, acc); },
+               _policy->impl);
     _hits += acc.hits;
     _misses += acc.misses;
     acc.hitBytes = acc.hits * _rowBytes;
@@ -492,7 +565,9 @@ CacheTier::stats() const
     s.misses = _misses;
     s.evictions = _evictions;
     s.rejectedFills = _rejectedFills;
-    s.bytesResident = _policy->size() * _rowBytes;
+    s.bytesResident =
+        std::visit([](const auto &p) { return p.size(); }, _policy->impl) *
+        _rowBytes;
     s.fabricSavedUs = usFromTicks(_savedTicks);
     return s;
 }
@@ -500,7 +575,8 @@ CacheTier::stats() const
 std::vector<std::uint64_t>
 CacheTier::residentKeys() const
 {
-    std::vector<std::uint64_t> keys = _policy->keys();
+    std::vector<std::uint64_t> keys =
+        std::visit([](const auto &p) { return p.keys(); }, _policy->impl);
     std::sort(keys.begin(), keys.end());
     return keys;
 }
@@ -508,9 +584,8 @@ CacheTier::residentKeys() const
 void
 CacheTier::reset()
 {
-    _policy = makePolicy(_cfg.policy);
-    _ghostList.clear();
-    _ghostMap.clear();
+    _policy = Policy::make(_cfg.policy, _maxRows);
+    _ghost.clear();
     _hits = _misses = _evictions = _rejectedFills = 0;
     _savedTicks = 0;
 }

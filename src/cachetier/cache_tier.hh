@@ -16,7 +16,7 @@
  * miss it pays the existing path while the tier does its fill
  * bookkeeping (admission + eviction).
  *
- * Pluggable policies behind one interface:
+ * Pluggable policies, each a flat slab-and-hash structure:
  *  - eviction: LRU, LFU (frequency with FIFO tie-break), or
  *    segmented LRU (probation/protected, 2-segment);
  *  - admission: always, or ghost-LRU filtered (a bounded ghost list
@@ -24,10 +24,12 @@
  *    second touch, so one-hit wonders never displace hot rows).
  *
  * Determinism contract: accesses happen in request-id dispatch order
- * within one single-threaded simulation, every structure is ordered
- * (std::map / std::list / std::set - never unordered), and ties
- * break on insertion sequence numbers. Runs are byte-identical at
- * any `--jobs` because suite points own independent tiers.
+ * within one single-threaded simulation, and ties break on insertion
+ * sequence numbers. Residency is indexed by a hash table
+ * (sim/flat_lru.hh), but nothing observable iterates it: victims
+ * come from list ends or a heap ordered on (frequency, insertion
+ * seq), and residentKeys() sorts. Runs are byte-identical at any
+ * `--jobs` because suite points own independent tiers.
  *
  * The spec grammar suffix (`.../cache:<mb>[:<lru|lfu|slru>[:ghost]]`)
  * parsed here is shared by single-node specs (core/backend.hh) and
@@ -38,12 +40,11 @@
 #define CENTAUR_CACHETIER_CACHE_TIER_HH
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/flat_lru.hh"
 #include "sim/units.hh"
 
 namespace centaur {
@@ -137,29 +138,6 @@ struct CacheStats
 };
 
 /**
- * Eviction-policy interface: an ordered set of resident row keys
- * with policy-specific recency/frequency bookkeeping. Keys are
- * `(table << 32) | row`. Implementations live in cache_tier.cc and
- * are selected by CacheTierConfig::policy.
- */
-class RowCachePolicy
-{
-  public:
-    virtual ~RowCachePolicy() = default;
-
-    virtual bool contains(std::uint64_t key) const = 0;
-    /** Record a hit on a resident key. */
-    virtual void touch(std::uint64_t key) = 0;
-    /** Insert a non-resident key (capacity ensured by caller). */
-    virtual void insert(std::uint64_t key) = 0;
-    /** Remove and return the victim key. */
-    virtual std::uint64_t evict() = 0;
-    virtual std::size_t size() const = 0;
-    /** Resident keys in ascending key order (tests/debug). */
-    virtual std::vector<std::uint64_t> keys() const = 0;
-};
-
-/**
  * One hot-row cache tier. Shared by every worker of a node (like
  * the Fabric): accesses arrive in dispatch order from the node's
  * single-threaded simulation, so the fill/evict stream is
@@ -218,6 +196,14 @@ class CacheTier
     void reset();
 
   private:
+    /** The configured eviction policy (defined in cache_tier.cc). */
+    struct Policy;
+
+    /** The lookup loop, compiled once per concrete policy type. */
+    template <class P>
+    void annotateWith(P &policy, const InferenceBatch &batch,
+                      Access &acc);
+
     /** Admission decision for a missed key; updates ghost state. */
     bool admit(std::uint64_t key);
     void ghostInsert(std::uint64_t key);
@@ -225,13 +211,11 @@ class CacheTier
     CacheTierConfig _cfg;
     std::uint32_t _rowBytes;
     std::uint64_t _maxRows;
-    std::unique_ptr<RowCachePolicy> _policy;
+    std::unique_ptr<Policy> _policy;
 
     /** Ghost LRU of recently seen-but-unadmitted / evicted keys. */
-    std::list<std::uint64_t> _ghostList;
-    std::map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        _ghostMap;
-    std::uint64_t _ghostCap = 0;
+    std::uint64_t _ghostCap;
+    FlatLru _ghost;
 
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

@@ -1,10 +1,13 @@
 #include "interconnect/iommu.hh"
 
+#include <algorithm>
+
 namespace centaur {
 
 Iommu::Iommu(const IommuConfig &cfg)
     : _cfg(cfg), _hitLatency(ticksFromNs(cfg.hitLatencyNs)),
-      _walkLatency(ticksFromNs(cfg.walkLatencyNs))
+      _walkLatency(ticksFromNs(cfg.walkLatencyNs)),
+      _tlb(std::max<std::uint64_t>(1, cfg.tlbEntries))
 {
 }
 
@@ -14,12 +17,12 @@ Iommu::translate(Addr virt)
     const std::uint64_t page = virt / _cfg.pageBytes;
     TranslationResult res;
     res.physical = virt; // identity map in the simulated space
-    auto it = _entries.find(page);
-    if (it != _entries.end()) {
+    const std::uint32_t slot = _tlb.find(page);
+    if (slot != kNoSlot) {
         ++_hits;
         res.tlbHit = true;
         res.latency = _hitLatency;
-        touch(page);
+        _tlb.moveToFront(slot);
     } else {
         ++_misses;
         res.tlbHit = false;
@@ -33,35 +36,24 @@ void
 Iommu::preload(Addr virt)
 {
     const std::uint64_t page = virt / _cfg.pageBytes;
-    if (_entries.find(page) == _entries.end())
+    if (_tlb.find(page) == kNoSlot)
         install(page);
 }
 
 void
 Iommu::flush()
 {
-    _lru.clear();
-    _entries.clear();
-}
-
-void
-Iommu::touch(std::uint64_t page)
-{
-    auto it = _entries.find(page);
-    _lru.erase(it->second);
-    _lru.push_front(page);
-    it->second = _lru.begin();
+    _tlb.clear();
 }
 
 void
 Iommu::install(std::uint64_t page)
 {
-    if (_entries.size() >= _cfg.tlbEntries && !_lru.empty()) {
-        _entries.erase(_lru.back());
-        _lru.pop_back();
-    }
-    _lru.push_front(page);
-    _entries[page] = _lru.begin();
+    // With tlbEntries == 0 the TLB still holds the latest page: the
+    // first install finds nothing to evict.
+    if (_tlb.size() >= _cfg.tlbEntries && !_tlb.empty())
+        _tlb.popBack();
+    _tlb.pushFront(page);
 }
 
 } // namespace centaur

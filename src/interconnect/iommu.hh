@@ -14,9 +14,8 @@
 #define CENTAUR_INTERCONNECT_IOMMU_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
+#include "sim/flat_lru.hh"
 #include "sim/units.hh"
 
 namespace centaur {
@@ -71,23 +70,12 @@ class Iommu
     const IommuConfig &config() const { return _cfg; }
 
   private:
-    void touch(std::uint64_t page);
     void install(std::uint64_t page);
 
     IommuConfig _cfg;
     Tick _hitLatency;
     Tick _walkLatency;
-    // page -> position in LRU list
-    std::list<std::uint64_t> _lru; //!< front = most recent
-    // Audited for the determinism contract: _entries is only ever
-    // probed point-wise (find/erase/operator[]/clear) - never
-    // iterated. Every eviction decision reads _lru.back(), a
-    // std::list ordered purely by install/touch recency, and the
-    // emitted stats are the scalar _hits/_misses counters, so no
-    // observable output depends on hash-bucket iteration order.
-    // centaur-lint: allow(ordered-emission)
-    std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-        _entries;
+    FlatLru _tlb; //!< resident pages, front = most recent
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
 };

@@ -25,8 +25,8 @@
  *    is hash-order, which varies by libstdc++ version and seed, so
  *    any iteration (or even a declaration, absent an audit pragma)
  *    that can reach stats/JSON emission is flagged. Audit the use,
- *    then annotate it (see iommu.hh's TLB map for the worked
- *    example), or switch to std::map / a sorted snapshot.
+ *    then annotate it (tests/lint/fixtures/clean.hh shows the
+ *    pragma), or switch to std::map / a sorted snapshot.
  *
  *  - `unit-suffix` — a float field, parameter or JSON key holding a
  *    time/size/power quantity must name its unit with a suffix

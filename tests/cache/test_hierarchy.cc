@@ -68,6 +68,55 @@ TEST(Hierarchy, HitRefillsUpperLevels)
     EXPECT_EQ(r.level, HitLevel::L1);
 }
 
+/** Broadwell geometry with @p policy at every level. */
+HierarchyConfig
+broadwellWith(ReplacementPolicy policy)
+{
+    HierarchyConfig cfg = broadwellHierarchyConfig();
+    cfg.l1.policy = cfg.l2.policy = cfg.llc.policy = policy;
+    return cfg;
+}
+
+// Every level an access passes on its way down installs the line, so
+// a hit at any depth leaves it resident at every level above.
+TEST(Hierarchy, DeepHitsLeaveTheLineResidentAbove)
+{
+    for (const ReplacementPolicy policy :
+         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
+          ReplacementPolicy::Random}) {
+        SCOPED_TRACE(static_cast<int>(policy));
+        CacheHierarchy h(broadwellWith(policy));
+
+        // Memory: cold line 0 lands in all three levels.
+        ASSERT_EQ(h.access(0).level, HitLevel::Memory);
+        EXPECT_TRUE(h.l1().probe(0));
+        EXPECT_TRUE(h.l2().probe(0));
+        EXPECT_TRUE(h.llc().probe(0));
+
+        // L2 hit: push line 0 out of L1 with lines of its L1 set
+        // (every 64th line) that fall in other L2 sets.
+        for (Addr k = 1; h.l1().probe(0); ++k) {
+            ASSERT_LT(k, 512u);
+            if (k % 8 != 0)
+                h.access(k * 64 * 64);
+        }
+        ASSERT_TRUE(h.l2().probe(0));
+        EXPECT_EQ(h.access(0).level, HitLevel::L2);
+        EXPECT_TRUE(h.l1().probe(0));
+
+        // LLC hit: push it out of L1 and L2 with lines of both sets
+        // (every 512th line), which the 28672-set LLC spreads out.
+        for (Addr k = 1; h.l1().probe(0) || h.l2().probe(0); ++k) {
+            ASSERT_LT(k, 56u);
+            h.access(k * 512 * 64);
+        }
+        ASSERT_TRUE(h.llc().probe(0));
+        EXPECT_EQ(h.access(0).level, HitLevel::Llc);
+        EXPECT_TRUE(h.l1().probe(0));
+        EXPECT_TRUE(h.l2().probe(0));
+    }
+}
+
 TEST(Hierarchy, LatencyIncreasesWithDepth)
 {
     CacheHierarchy h(broadwellHierarchyConfig());

@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for the FPGA-side IOMMU/TLB model.
+ * Unit tests for the FPGA-side IOMMU/TLB model, plus a differential
+ * test against the list-plus-map LRU TLB it used to be built on.
  */
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+
 #include "interconnect/iommu.hh"
+#include "sim/random.hh"
 
 namespace centaur {
 namespace {
@@ -94,6 +99,94 @@ TEST(Iommu, IdentityMapping)
 {
     Iommu mmu;
     EXPECT_EQ(mmu.translate(0xDEADBEE0).physical, 0xDEADBEE0u);
+}
+
+/**
+ * The TLB as a std::list recency order plus a page -> node map:
+ * touch moves to front, install evicts the back when full (and, with
+ * tlbEntries == 0, still installs the newest page).
+ */
+class ListTlb
+{
+  public:
+    explicit ListTlb(const IommuConfig &cfg) : _cfg(cfg) {}
+
+    bool
+    translate(Addr virt)
+    {
+        const std::uint64_t page = virt / _cfg.pageBytes;
+        auto it = _entries.find(page);
+        if (it != _entries.end()) {
+            _lru.splice(_lru.begin(), _lru, it->second);
+            return true;
+        }
+        install(page);
+        return false;
+    }
+
+    void
+    preload(Addr virt)
+    {
+        const std::uint64_t page = virt / _cfg.pageBytes;
+        if (_entries.find(page) == _entries.end())
+            install(page);
+    }
+
+    void
+    flush()
+    {
+        _lru.clear();
+        _entries.clear();
+    }
+
+  private:
+    void
+    install(std::uint64_t page)
+    {
+        if (_entries.size() >= _cfg.tlbEntries && !_lru.empty()) {
+            _entries.erase(_lru.back());
+            _lru.pop_back();
+        }
+        _lru.push_front(page);
+        _entries[page] = _lru.begin();
+    }
+
+    IommuConfig _cfg;
+    std::list<std::uint64_t> _lru;
+    std::map<std::uint64_t, std::list<std::uint64_t>::iterator> _entries;
+};
+
+TEST(Iommu, MatchesListTlbCallForCall)
+{
+    for (const std::uint32_t entries : {0u, 1u, 64u}) {
+        SCOPED_TRACE(entries);
+        const IommuConfig cfg{entries, 4096, 4.0, 250.0};
+        Iommu mmu(cfg);
+        ListTlb ref(cfg);
+        Rng rng(5);
+        std::uint64_t hits = 0;
+        for (int step = 0; step < 20000; ++step) {
+            // 96 pages: a 64-entry TLB both hits and evicts.
+            const Addr virt = rng.nextBelow(96 * 4096);
+            const std::uint64_t op = rng.nextBelow(100);
+            if (op == 0) {
+                mmu.flush();
+                ref.flush();
+            } else if (op < 5) {
+                mmu.preload(virt);
+                ref.preload(virt);
+            } else {
+                const bool hit = ref.translate(virt);
+                const TranslationResult r = mmu.translate(virt);
+                ASSERT_EQ(r.tlbHit, hit) << step;
+                ASSERT_EQ(r.latency,
+                          ticksFromNs(hit ? 4.0 : 254.0));
+                hits += hit;
+            }
+        }
+        EXPECT_EQ(mmu.hits(), hits);
+        EXPECT_GT(hits, 0u);
+    }
 }
 
 } // namespace
