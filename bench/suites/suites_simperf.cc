@@ -2,7 +2,7 @@
  * @file
  * Simulator-performance suite: how fast the simulator itself runs.
  * Every other suite measures the modeled system; this one measures
- * the model. Five canonical cells (contended serving, fast-path
+ * the model. Five canonical cells (contended serving, uncontended
  * serving, an 8-node cluster, a cache-tier run and a control-plane
  * run) each time their engine end to end (requests_per_sec,
  * sim_wall_us) and then replay the engines' event pattern through
@@ -222,10 +222,10 @@ suiteSimPerf(SuiteContext &ctx)
     };
 
     // The five canonical cells. serving_contended and cluster_8node
-    // carry the CI speedup floors; serving_fast_path runs the
-    // closed-form loop (core/server.cc) so its requests_per_sec
-    // shows the engine-level win; cache and ctrl pin the remaining
-    // event-path engines.
+    // carry the CI speedup floors; serving_fast_path (named for a
+    // closed-form loop the engine no longer has) is the uncontended
+    // single-node baseline; cache and ctrl pin the cache tier and
+    // the control plane.
     std::vector<Cell> cells;
     cells.push_back({"serving_contended", "cpu+gpu", "uniform",
                      false, true, 4, 4, false, 3.0});
@@ -345,8 +345,7 @@ suiteSimPerf(SuiteContext &ctx)
 
     ctx.notef("\ntakeaway: the arena kernel retires the per-event "
               "heap allocation the legacy std::function storage\n"
-              "paid on every schedule; the serving fast path skips "
-              "the queue entirely when nothing contends.\n");
+              "paid on every schedule.\n");
 
     Json data = Json::object();
     data["records"] = records;

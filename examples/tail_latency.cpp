@@ -35,13 +35,15 @@ main()
     for (const char *spec : {"cpu", "cpu+fpga"}) {
         for (double rps : {1000.0, 4000.0, 12000.0}) {
             auto sys = makeSystem(spec, model);
-            ServerConfig cfg;
+            ServingConfig cfg;
             cfg.arrivalRatePerSec = rps;
             cfg.batchPerRequest = 8;
             cfg.requests = 250;
             cfg.seed = 7;
-            InferenceServer server(*sys, cfg, kSlaUs);
-            const auto s = server.run();
+            cfg.workers = 1;
+            cfg.maxCoalescedBatch = 1;
+            cfg.slaTargetUs = kSlaUs;
+            const auto s = ServingEngine({sys.get()}, cfg).run();
             table.addRow({sys->name(), TextTable::fmt(rps, 0),
                           TextTable::fmt(s.p50Us, 0),
                           TextTable::fmt(s.p99Us, 0),

@@ -1,11 +1,10 @@
 #include "cachetier/cache_tier.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <variant>
 
 #include "dlrm/workload.hh"
+#include "sim/spec_number.hh"
 
 namespace centaur {
 
@@ -13,15 +12,6 @@ namespace {
 
 constexpr const char *kGrammar =
     "cache:<mb>[:<lru|lfu|slru>[:ghost]]";
-
-/** Format a double the way the spec grammar writes it (%g). */
-std::string
-formatNumber(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 bool
 failWith(std::string *error, const std::string &part,
@@ -31,20 +21,6 @@ failWith(std::string *error, const std::string &part,
         *error = "bad cache spec '" + part + "': " + why +
                  "; grammar: " + kGrammar;
     return false;
-}
-
-/** strtod over the whole token; rejects trailing garbage. */
-bool
-parseNumber(const std::string &token, double *out)
-{
-    if (token.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size())
-        return false;
-    *out = v;
-    return true;
 }
 
 // ------------------------------------------------------------------
@@ -361,7 +337,7 @@ tryParseCachePart(const std::string &part, CacheTierConfig *out,
 
     CacheTierConfig cfg;
     double mb = 0.0;
-    if (!parseNumber(tokens[0], &mb) || mb < 0.0)
+    if (!parseSpecNumber(tokens[0], &mb) || mb < 0.0)
         return failWith(error, part,
                         "bad <mb> budget '" + tokens[0] +
                             "' (non-negative number)");
@@ -400,7 +376,7 @@ cachePartName(const CacheTierConfig &cfg)
 {
     if (!cfg.enabled())
         return "";
-    std::string name = "cache:" + formatNumber(cfg.capacityMB);
+    std::string name = "cache:" + formatSpecNumber(cfg.capacityMB);
     if (cfg.policy != CachePolicy::Lru || cfg.ghost)
         name += std::string(":") + cachePolicyName(cfg.policy);
     if (cfg.ghost)

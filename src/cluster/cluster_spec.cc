@@ -1,10 +1,8 @@
 #include "cluster/cluster_spec.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "core/backend.hh"
 #include "sim/log.hh"
+#include "sim/spec_number.hh"
 
 namespace centaur {
 
@@ -53,20 +51,6 @@ constexpr const char *kGrammar =
     "[/cache:<mb>[:<lru|lfu|slru>[:ghost]]]"
     "[/ctrl:<fixed|adaptive>[:hedge[:<q>]][:scale[:<lo>-<hi>]]]";
 
-/** Parse a finite double, consuming the whole string. */
-bool
-parseNumber(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
 /** Parse a positive decimal integer, consuming the whole string. */
 bool
 parseCount(const std::string &text, std::uint32_t *out)
@@ -83,15 +67,6 @@ parseCount(const std::string &text, std::uint32_t *out)
         return false;
     *out = v;
     return true;
-}
-
-/** Shortest %g form that round-trips through parseNumber. */
-std::string
-formatNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
 }
 
 bool
@@ -149,20 +124,20 @@ parseNetPart(const std::string &part, const std::string &spec,
         return failWith(error, spec,
                         "net takes at most gbps:read-lat:setup, "
                         "got '" + part + "'");
-    if (!parseNumber(fields[0], &cfg->net.nicGBps) ||
+    if (!parseSpecNumber(fields[0], &cfg->net.nicGBps) ||
         cfg->net.nicGBps <= 0.0)
         return failWith(error, spec,
                         "net bandwidth must be a positive GB/s, "
                         "got '" + fields[0] + "'");
     if (fields.size() >= 2) {
-        if (!parseNumber(fields[1], &cfg->net.readLatencyUs) ||
+        if (!parseSpecNumber(fields[1], &cfg->net.readLatencyUs) ||
             cfg->net.readLatencyUs < 0.0)
             return failWith(error, spec,
                             "net read latency must be a nonnegative "
                             "us, got '" + fields[1] + "'");
     }
     if (fields.size() >= 3) {
-        if (!parseNumber(fields[2], &cfg->net.setupUs) ||
+        if (!parseSpecNumber(fields[2], &cfg->net.setupUs) ||
             cfg->net.setupUs < 0.0)
             return failWith(error, spec,
                             "net setup cost must be a nonnegative "
@@ -308,9 +283,9 @@ clusterSpecName(const ClusterSpec &spec)
         if (spec.net.nullNet) {
             name += "/net:null";
         } else {
-            name += "/net:" + formatNumber(spec.net.nicGBps) + ":" +
-                    formatNumber(spec.net.readLatencyUs) + ":" +
-                    formatNumber(spec.net.setupUs);
+            name += "/net:" + formatSpecNumber(spec.net.nicGBps) + ":" +
+                    formatSpecNumber(spec.net.readLatencyUs) + ":" +
+                    formatSpecNumber(spec.net.setupUs);
         }
     }
     if (spec.cache.enabled())

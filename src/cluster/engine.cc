@@ -1,87 +1,17 @@
 #include "cluster/engine.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <functional>
 
 #include "cluster/router.hh"
 #include "core/backend.hh"
+#include "core/node_scheduler.hh"
 #include "core/scenario.hh"
 #include "core/system_builder.hh"
-#include "sim/event_queue.hh"
 #include "sim/log.hh"
-#include "sim/random.hh"
 
 namespace centaur {
 
 namespace {
-
-/** One admitted request waiting for a worker on its node. */
-struct PendingRequest
-{
-    std::uint32_t id = 0;
-    double arrivalUs = 0.0;
-};
-
-/**
- * Concatenate per-request payloads into one dispatched batch -
- * mirrors the single-node engine (core/server.cc) exactly.
- */
-InferenceBatch
-coalesceRequests(const std::vector<InferenceBatch> &payloads,
-                 const std::vector<std::uint32_t> &ids)
-{
-    const InferenceBatch &first = payloads[ids.front()];
-    InferenceBatch merged;
-    merged.batch = 0;
-    merged.lookupsPerTable = first.lookupsPerTable;
-    merged.indices.resize(first.indices.size());
-    for (std::uint32_t id : ids) {
-        const InferenceBatch &req = payloads[id];
-        merged.batch += req.batch;
-        for (std::size_t t = 0; t < req.indices.size(); ++t)
-            merged.indices[t].insert(merged.indices[t].end(),
-                                     req.indices[t].begin(),
-                                     req.indices[t].end());
-        merged.dense.insert(merged.dense.end(), req.dense.begin(),
-                            req.dense.end());
-    }
-    return merged;
-}
-
-/** Per-node scheduling state: the single-node engine's locals. */
-struct NodeState
-{
-    ClusterNode *node = nullptr;
-    /** Request ids routed here, ascending (= arrival order). */
-    std::vector<std::uint32_t> ids;
-    std::size_t next = 0; //!< next unadmitted index into ids
-    std::deque<PendingRequest> queue;
-    std::vector<double> workerFree;
-    std::vector<WorkerStats> workerStats;
-    std::uint64_t droppedFull = 0;
-    std::uint64_t droppedTimeout = 0;
-    std::uint64_t served = 0;
-    std::uint64_t dispatches = 0;
-    double energyJoules = 0.0;
-    std::uint64_t remoteReads = 0;
-    std::uint64_t remoteReadBytes = 0;
-    double remoteGatherUs = 0.0;
-    /**
-     * The node's round body, built once per run. Events carry only
-     * a trampoline + NodeState pointer (below), so re-firing a
-     * round never copies this closure.
-     */
-    std::function<void()> round;
-};
-
-/** Captureless trampoline: one POD event per round, no closure copy. */
-void
-invokeNodeRound(void *p)
-{
-    static_cast<NodeState *>(p)->round();
-}
 
 std::uint64_t
 nameHash(const std::string &name)
@@ -95,24 +25,267 @@ nameHash(const std::string &name)
     return h;
 }
 
+/**
+ * The cluster /ctrl: part wins over a /ctrl: suffix on the inner
+ * node spec (same precedence as /cache:); either wins over the
+ * caller's ServingConfig.
+ */
+CtrlConfig
+clusterCtrl(const ClusterSpec &spec, const ServingConfig &cfg)
+{
+    if (spec.ctrl.enabled())
+        return spec.ctrl;
+    if (const CtrlConfig node_ctrl = parseSpec(spec.nodeSpec).ctrl;
+        node_ctrl.enabled())
+        return node_ctrl;
+    return cfg.ctrl;
+}
+
+/** Remote-gather accounting of one node. */
+struct RemoteStats
+{
+    std::uint64_t reads = 0;
+    std::uint64_t readBytes = 0;
+    double gatherUs = 0.0; //!< service extension waiting on reads
+};
+
+/**
+ * N nodes: requests are routed up front, dispatches pay the sharded
+ * gather, clones run on the next active node, and the autoscaler
+ * drains and wakes whole nodes.
+ */
+class ClusterRun final : public ServingRun
+{
+  public:
+    ClusterRun(ClusterTopology &topo, const ServingConfig &cfg)
+        : ServingRun(cfg, clusterCtrl(topo.spec(), cfg),
+                     topo.node(0).workers.front()->config(),
+                     topo.nodes(), topo.nodes(), /*park_idle=*/true),
+          remote(topo.nodes()), shardStats(topo.shardMap().shards()),
+          _topo(topo), _map(topo.shardMap()), _net(topo.network()),
+          _ownerBytes(topo.nodes(), 0)
+    {
+        const ClusterSpec &spec = topo.spec();
+        const std::uint32_t n_nodes = topo.nodes();
+        const DlrmConfig &model = topo.node(0).workers.front()->config();
+        for (std::uint32_t n = 0; n < n_nodes; ++n)
+            addNode(topo.node(n).workers, topo.node(n).fabric.get());
+
+        // Least-loaded books an estimated per-request service time;
+        // probe it on a throwaway system so the main workers' state
+        // (and the arrival stream) stay untouched.
+        double est_service_us = 0.0;
+        if (spec.route == RoutePolicy::LeastLoaded && n_nodes > 1) {
+            const auto probe = makeSystem(spec.nodeSpec, model);
+            WorkloadGenerator probe_gen(model, cfg.workloadConfig());
+            est_service_us =
+                usFromTicks(probe->infer(probe_gen.next()).latency());
+        }
+
+        // Route every request up front, in id order: decisions
+        // depend only on (seed, payload stream), never on event
+        // interleaving.
+        Router router(spec.route, n_nodes, _map, cfg.seed,
+                      est_service_us);
+        routeOf.resize(cfg.requests);
+        for (std::uint32_t r = 0; r < cfg.requests; ++r) {
+            routeOf[r] =
+                router.route(r, arrivals.payloads[r], arrivals.us[r]);
+            nodes[routeOf[r]].ids.push_back(r);
+        }
+
+        for (std::uint32_t s = 0; s < _map.shards(); ++s) {
+            shardStats[s].shard = s;
+            shardStats[s].primaryNode = _map.primary(s);
+            shardStats[s].replicas = _map.replicas();
+        }
+    }
+
+    std::vector<std::uint32_t> routeOf;
+    std::vector<RemoteStats> remote;
+    std::vector<ClusterShardStats> shardStats;
+    std::uint64_t fanoutTotal = 0;
+    std::uint64_t fanoutDispatches = 0;
+    double stragglerUs = 0.0;
+
+    /**
+     * The earliest-free worker of the next active node. The clone
+     * serves from its own node's replicas without a modeled gather -
+     * a deliberate simplification: hedge targets are picked for
+     * headroom, and charging the NIC twice for one logical request
+     * would double-book the fabric the primary already paid.
+     */
+    HedgePeer
+    hedgePeer(NodeScheduler &node, std::size_t) override
+    {
+        for (std::size_t k = 1; k < nodes.size(); ++k) {
+            NodeScheduler &cand = nodes[(node.index + k) % nodes.size()];
+            if (isUp(cand))
+                return {&cand, cand.earliest()};
+        }
+        return {};
+    }
+
+    void
+    scale(int dir, double now_us) override
+    {
+        if (dir < 0)
+            drain(now_us);
+        else
+            wakeNode(now_us);
+    }
+
+    /**
+     * Sharded gather: rows on a replica this node holds are free;
+     * the rest fan out as one one-sided read per owner node, and the
+     * dense stage waits for the slowest. Rows resident in the node's
+     * hot-row cache tier never leave the node: they count as local
+     * and skip the NIC.
+     */
+    double
+    gatherUs(NodeScheduler &node, double dispatch_us,
+             const InferenceBatch &batch,
+             const InferenceResult &res) override
+    {
+        const std::uint32_t n = node.index;
+        const std::uint64_t row_bytes =
+            node.workers.front()->config().vectorBytes();
+        std::fill(_ownerBytes.begin(), _ownerBytes.end(), 0);
+        std::uint64_t cached_remote_bytes = 0;
+        for (std::size_t tb = 0; tb < batch.indices.size(); ++tb) {
+            for (std::uint64_t i = 0; i < batch.indices[tb].size(); ++i) {
+                const std::uint32_t shard = _map.shardOf(
+                    static_cast<std::uint32_t>(tb), batch.indices[tb][i]);
+                if (_map.isOwner(shard, n)) {
+                    ++shardStats[shard].localLookups;
+                } else if (batch.rowCached(tb, i)) {
+                    cached_remote_bytes += row_bytes;
+                    ++shardStats[shard].localLookups;
+                } else {
+                    _ownerBytes[_map.replicaFor(shard, n)] += row_bytes;
+                    ++shardStats[shard].remoteLookups;
+                }
+            }
+        }
+        if (_net.isNull())
+            return 0.0;
+        if (cached_remote_bytes && _topo.node(n).cache)
+            _topo.node(n).cache->recordSavedTicks(serializationTicks(
+                cached_remote_bytes, _net.config().nicGBps));
+
+        Tick done_min = 0;
+        Tick done_max = 0;
+        std::uint32_t fanout = 0;
+        std::uint64_t read_bytes = 0;
+        const Tick ready = ticksFromUs(dispatch_us);
+        for (std::uint32_t owner = 0; owner < nodes.size(); ++owner) {
+            if (_ownerBytes[owner] == 0)
+                continue;
+            const Tick done = _net.read(n, owner, _ownerBytes[owner], ready);
+            done_min = fanout ? std::min(done_min, done) : done;
+            done_max = std::max(done_max, done);
+            ++fanout;
+            read_bytes += _ownerBytes[owner];
+        }
+        if (fanout == 0)
+            return 0.0;
+        // The gather overlaps the local IDX+EMB phases; only the
+        // tail past them extends the dispatch.
+        const double emb_done_us =
+            dispatch_us + usFromTicks(res.phaseTicks(Phase::Idx) +
+                                      res.phaseTicks(Phase::Emb));
+        const double extra_us =
+            std::max(0.0, usFromTicks(done_max) - emb_done_us);
+        remote[n].gatherUs += extra_us;
+        remote[n].reads += fanout;
+        remote[n].readBytes += read_bytes;
+        fanoutTotal += fanout;
+        ++fanoutDispatches;
+        if (fanout > 1)
+            stragglerUs += usFromTicks(done_max - done_min);
+        return extra_us;
+    }
+
+  private:
+    /** A drained node stops accruing provisioned time on every worker. */
+    static bool isUp(const NodeScheduler &node) { return node.up.front(); }
+
+    /**
+     * Drain the highest-index active node. It stops accruing
+     * provisioned (idle-energy) time, and its not-yet-admitted
+     * arrivals go round-robin to the surviving active nodes (each
+     * receiver's id list stays sorted via a tail merge, so admission
+     * order is unchanged), which are woken; requests already queued
+     * on the victim drain out on its own workers.
+     */
+    void
+    drain(double now_us)
+    {
+        NodeScheduler *victim = nullptr;
+        for (NodeScheduler &node : nodes)
+            if (isUp(node))
+                victim = &node;
+        if (!victim)
+            return;
+        for (std::size_t i = 0; i < victim->workers.size(); ++i)
+            victim->powerDown(i, now_us);
+        std::vector<NodeScheduler *> receivers;
+        for (NodeScheduler &node : nodes)
+            if (isUp(node))
+                receivers.push_back(&node);
+        NodeScheduler &v = *victim;
+        if (receivers.empty() || v.next >= v.ids.size())
+            return;
+        std::vector<std::size_t> old_size;
+        for (NodeScheduler *r : receivers)
+            old_size.push_back(r->ids.size());
+        for (std::size_t k = v.next; k < v.ids.size(); ++k) {
+            NodeScheduler &r = *receivers[(k - v.next) % receivers.size()];
+            r.ids.push_back(v.ids[k]);
+            routeOf[v.ids[k]] = r.index;
+        }
+        v.ids.resize(v.next);
+        for (std::size_t j = 0; j < receivers.size(); ++j) {
+            NodeScheduler &r = *receivers[j];
+            std::inplace_merge(
+                r.ids.begin() + static_cast<std::ptrdiff_t>(r.next),
+                r.ids.begin() + static_cast<std::ptrdiff_t>(old_size[j]),
+                r.ids.end());
+            // A receiver parked on a future arrival (or fully
+            // drained) must re-examine its id list; an extra round
+            // on a busy receiver is a harmless no-op.
+            r.wake(ticksFromUs(now_us));
+        }
+    }
+
+    /** Re-add the lowest-index drained node; it receives traffic
+     *  only from later drain redistributions. */
+    void
+    wakeNode(double now_us)
+    {
+        for (NodeScheduler &node : nodes) {
+            if (isUp(node))
+                continue;
+            for (std::size_t i = 0; i < node.workers.size(); ++i)
+                node.powerUp(i, now_us);
+            return;
+        }
+    }
+
+    ClusterTopology &_topo;
+    const EmbeddingShardMap &_map;
+    ClusterNetwork &_net;
+    /** Per-owner read bytes of the current dispatch (scratch). */
+    std::vector<std::uint64_t> _ownerBytes;
+};
+
 } // namespace
 
 ClusterEngine::ClusterEngine(ClusterTopology &topo,
                              const ServingConfig &cfg)
     : _topo(topo), _cfg(cfg)
 {
-    if (cfg.arrivalRatePerSec <= 0.0)
-        fatal("cluster engine needs a positive arrival rate");
-    if (cfg.requests == 0)
-        fatal("cluster engine needs at least one request");
-    if (cfg.maxCoalescedBatch == 0)
-        fatal("cluster engine needs a positive coalesced batch");
-    if (cfg.maxQueueDepth > 0 &&
-        cfg.maxQueueDepth < cfg.maxCoalescedBatch)
-        fatal("maxQueueDepth (", cfg.maxQueueDepth,
-              ") must cover maxCoalescedBatch (",
-              cfg.maxCoalescedBatch,
-              ") or the admission cap starves forming batches");
+    checkServingConfig(cfg, "cluster engine");
     if (topo.nodes() == 0)
         fatal("cluster engine needs at least one node");
     for (std::uint32_t n = 0; n < topo.nodes(); ++n)
@@ -123,810 +296,46 @@ ClusterEngine::ClusterEngine(ClusterTopology &topo,
 ClusterStats
 ClusterEngine::run()
 {
-    const ClusterSpec &spec = _topo.spec();
-    const std::uint32_t nodes = _topo.nodes();
-    const std::uint32_t num_requests = _cfg.requests;
-    const DlrmConfig &model = _topo.node(0).workers.front()->config();
-    const EmbeddingShardMap &map = _topo.shardMap();
-    ClusterNetwork &net = _topo.network();
-
-    // Arrival process and per-request payloads, generated up front in
-    // request-id order from the exact RNG streams of the single-node
-    // engine (core/server.cc). Nothing downstream - routing included -
-    // consumes these streams, so a 1-node cluster sees the same
-    // arrivals and payloads as ServingEngine, draw for draw.
-    Rng arrivals_rng(_cfg.seed * 7919 + 13);
-    WorkloadConfig wl = _cfg.workloadConfig();
-    WorkloadGenerator gen(model, wl);
-
-    const double mean_gap_us = 1e6 / _cfg.arrivalRatePerSec;
-    const bool bursty = _cfg.arrival == ArrivalProcess::Burst &&
-                        _cfg.burstFactor > 1.0;
-    const bool diurnal = _cfg.arrival == ArrivalProcess::Diurnal &&
-                         _cfg.diurnalAmplitude > 0.0;
-    const double burst_gap_us = mean_gap_us / _cfg.burstFactor;
-    const double idle_gap_us =
-        mean_gap_us *
-        (_cfg.burstFactor - 1.0 + 1.0 / _cfg.burstFactor);
-    const double diurnal_period_us = _cfg.diurnalPeriodSec * 1e6;
-    std::vector<double> arrival_us(num_requests);
-    std::vector<std::uint8_t> arrival_burst(num_requests, 0);
-    std::vector<InferenceBatch> payloads(num_requests);
-    double clock_us = 0.0;
-    for (std::uint32_t r = 0; r < num_requests; ++r) {
-        double gap_mean_us = mean_gap_us;
-        if (bursty) {
-            const bool in_burst =
-                arrivals_rng.nextDouble() >= 1.0 / _cfg.burstFactor;
-            gap_mean_us = in_burst ? burst_gap_us : idle_gap_us;
-            arrival_burst[r] = in_burst ? 1 : 0;
-        } else if (diurnal) {
-            gap_mean_us =
-                mean_gap_us /
-                (1.0 + _cfg.diurnalAmplitude *
-                           std::sin(2.0 * M_PI * clock_us /
-                                    diurnal_period_us));
-        }
-        const double u = std::max(arrivals_rng.nextDouble(), 1e-12);
-        clock_us += -std::log(u) * gap_mean_us;
-        arrival_us[r] = clock_us;
-        payloads[r] = gen.next();
-    }
-
-    // Least-loaded books an estimated per-request service time; probe
-    // it on a throwaway system so the main workers' state (and the
-    // workload streams above) stay untouched.
-    double est_service_us = 0.0;
-    if (spec.route == RoutePolicy::LeastLoaded && nodes > 1) {
-        const auto probe = makeSystem(spec.nodeSpec, model);
-        WorkloadGenerator probe_gen(model, wl);
-        est_service_us =
-            usFromTicks(probe->infer(probe_gen.next()).latency());
-    }
-
-    // Route every request up front, in id order: decisions depend
-    // only on (seed, payload stream), never on event interleaving.
-    Router router(spec.route, nodes, map, _cfg.seed, est_service_us);
-    std::vector<std::uint32_t> route_of(num_requests);
-    std::vector<NodeState> ns(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-        NodeState &s = ns[n];
-        s.node = &_topo.node(n);
-        s.workerFree.assign(s.node->workers.size(), 0.0);
-        s.workerStats.resize(s.node->workers.size());
-        for (std::size_t i = 0; i < s.node->workers.size(); ++i)
-            s.workerStats[i].spec = s.node->workers[i]->spec();
-    }
-    for (std::uint32_t r = 0; r < num_requests; ++r) {
-        route_of[r] = router.route(r, payloads[r], arrival_us[r]);
-        ns[route_of[r]].ids.push_back(r);
-    }
-
-    std::vector<ClusterShardStats> shard_stats(map.shards());
-    for (std::uint32_t s = 0; s < map.shards(); ++s) {
-        shard_stats[s].shard = s;
-        shard_stats[s].primaryNode = map.primary(s);
-        shard_stats[s].replicas = map.replicas();
-    }
-
-    StatHistogram latency(0.0, 100000.0, 2000); // us, 50 us buckets
-    StatAverage service;
-    StatAverage queueing;
-    std::uint64_t served = 0;
-    std::uint64_t dispatches = 0;
-    std::uint64_t sla_hits = 0;
-    double energy_joules = 0.0;
-    double last_completion = 0.0;
-    std::uint64_t fanout_total = 0;
-    std::uint64_t fanout_dispatches = 0;
-    double straggler_us = 0.0;
-
-    // Per-SLO-class accounting (report v1.6); class of request r is
-    // r % classes, stamped at generation time.
-    const std::size_t num_classes = _cfg.sloClasses.size();
-    std::vector<StatHistogram> class_latency;
-    class_latency.reserve(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c)
-        class_latency.emplace_back(0.0, 100000.0, 2000);
-    std::vector<std::uint64_t> class_served(num_classes, 0);
-    std::vector<std::uint64_t> class_within(num_classes, 0);
-
-    // Control plane (ctrlplane/). The cluster /ctrl: part wins over
-    // a /ctrl: suffix on the inner node spec (same precedence as
-    // /cache:); either wins over the caller's ServingConfig. All
-    // controllers run on the shared event queue, so decisions are
-    // totally ordered and jobs-independent.
-    CtrlConfig ctrl = _cfg.ctrl;
-    if (spec.ctrl.enabled())
-        ctrl = spec.ctrl;
-    else if (const CtrlConfig node_ctrl = parseSpec(spec.nodeSpec).ctrl;
-             node_ctrl.enabled())
-        ctrl = node_ctrl;
-    const bool adaptive = ctrl.adaptive;
-    const bool hedging = ctrl.hedge && nodes > 1;
-    const bool scaling = ctrl.scale && nodes > 1;
-    std::vector<AdaptiveBatcher> batchers;
-    batchers.reserve(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n)
-        batchers.emplace_back(
-            _cfg.coalesceWindowUs,
-            std::max(_cfg.coalesceWindowUs * 8.0, 4.0 * mean_gap_us));
-    ServiceQuantile svc_quantile;
-    Autoscaler scaler(ctrl, nodes,
-                      std::max(1000.0, 32.0 * mean_gap_us));
-    std::vector<std::uint8_t> node_active(nodes, 1);
-    std::vector<double> active_since(nodes, 0.0);
-    std::vector<double> node_active_us(nodes, 0.0);
-    double interval_busy_us = 0.0;
-    std::uint64_t dropped_burst = 0;
-    std::uint64_t dropped_idle = 0;
-    std::uint64_t hedge_dispatches = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t hedge_losses = 0;
-    double hedge_wasted_us = 0.0;
-    double hedge_energy_joules = 0.0;
-
-    const auto classifyDrop = [&](std::uint32_t id) {
-        if (!bursty)
-            return;
-        if (arrival_burst[id])
-            ++dropped_burst;
-        else
-            ++dropped_idle;
-    };
-
-    // Admit every arrival routed to @p s with timestamp <= t.
-    const auto admitUpTo = [&](NodeState &s, double t) {
-        while (s.next < s.ids.size() &&
-               arrival_us[s.ids[s.next]] <= t) {
-            if (_cfg.maxQueueDepth > 0 &&
-                s.queue.size() >= _cfg.maxQueueDepth) {
-                ++s.droppedFull;
-                classifyDrop(s.ids[s.next]);
-            } else {
-                s.queue.push_back(
-                    {s.ids[s.next], arrival_us[s.ids[s.next]]});
-            }
-            ++s.next;
-        }
-    };
-
-    // Per-node event shards merged by lowest (tick, seq): the seq
-    // counter is global, so cross-node interleaving is the exact
-    // total order one shared queue would produce and the run stays
-    // deterministic at any --jobs count - while each push/pop sifts
-    // a heap holding one node's events instead of the cluster's.
-    ShardedEventQueue events(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n)
-        events.reserve(n, 4); // own round + drain wakes
-    const auto scheduleRound = [&](std::uint32_t n) {
-        NodeState &s = ns[n];
-        const double next_us = *std::min_element(
-            s.workerFree.begin(), s.workerFree.end());
-        events.schedule(n, std::max(events.now(), ticksFromUs(next_us)),
-                        &invokeNodeRound, &s);
-    };
-
-    // Autoscaler victims are whole nodes. Draining stops accruing
-    // provisioned (idle-energy) time, redistributes the victim's
-    // not-yet-admitted arrivals round-robin over the surviving
-    // active nodes (each receiver's id list stays sorted via a tail
-    // merge, so admission order is unchanged), and wakes the
-    // receivers; requests already queued on the victim drain out on
-    // its own workers. A re-added node only receives traffic from
-    // future drain redistributions.
-    const auto drainNode = [&](double now_us) {
-        std::uint32_t victim = nodes;
-        for (std::uint32_t i = 0; i < nodes; ++i)
-            if (node_active[i])
-                victim = i;
-        if (victim >= nodes)
-            return;
-        node_active[victim] = 0;
-        node_active_us[victim] += now_us - active_since[victim];
-        NodeState &v = ns[victim];
-        std::vector<std::uint32_t> receivers;
-        for (std::uint32_t i = 0; i < nodes; ++i)
-            if (node_active[i])
-                receivers.push_back(i);
-        if (receivers.empty() || v.next >= v.ids.size())
-            return;
-        std::vector<std::size_t> old_size(nodes, 0);
-        for (std::uint32_t rn : receivers)
-            old_size[rn] = ns[rn].ids.size();
-        for (std::size_t k = v.next; k < v.ids.size(); ++k) {
-            const std::uint32_t rn =
-                receivers[(k - v.next) % receivers.size()];
-            ns[rn].ids.push_back(v.ids[k]);
-            route_of[v.ids[k]] = rn;
-        }
-        v.ids.resize(v.next);
-        for (std::uint32_t rn : receivers) {
-            NodeState &r = ns[rn];
-            std::inplace_merge(
-                r.ids.begin() +
-                    static_cast<std::ptrdiff_t>(r.next),
-                r.ids.begin() +
-                    static_cast<std::ptrdiff_t>(old_size[rn]),
-                r.ids.end());
-            // A receiver parked on a future arrival (or fully
-            // drained) must re-examine its id list; an extra round
-            // on a busy receiver is a harmless no-op.
-            events.schedule(
-                rn, std::max(events.now(), ticksFromUs(now_us)),
-                &invokeNodeRound, &r);
-        }
-    };
-    const auto wakeNode = [&](double now_us) {
-        for (std::uint32_t i = 0; i < nodes; ++i) {
-            if (node_active[i])
-                continue;
-            node_active[i] = 1;
-            active_since[i] = now_us;
-            for (double &f : ns[i].workerFree)
-                f = std::max(f, now_us);
-            return;
-        }
-    };
-
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-        // The round body is the single-node engine's greedy state
-        // machine verbatim, restricted to the node's routed ids, plus
-        // the sharded-gather charge after infer().
-        ns[n].round = [&, n]() {
-            NodeState &s = ns[n];
-            const std::size_t w = static_cast<std::size_t>(
-                std::min_element(s.workerFree.begin(),
-                                 s.workerFree.end()) -
-                s.workerFree.begin());
-            double t = s.workerFree[w];
-            admitUpTo(s, t);
-            if (s.queue.empty()) {
-                if (s.next >= s.ids.size())
-                    return; // drained: nothing left to schedule
-                t = arrival_us[s.ids[s.next]];
-                // An idle node waiting on a future arrival re-fires
-                // at that arrival's tick instead of dispatching
-                // "early" at a stale event time: NIC grants must be
-                // requested in (near) global time order or the FIFO
-                // busy-until clocks would stall other nodes' reads
-                // behind one booked far in the future. Decisions are
-                // unchanged - they read the microsecond state - so a
-                // 1-node run stays tick-identical.
-                if (ticksFromUs(t) > events.now()) {
-                    events.schedule(n, ticksFromUs(t),
-                                    &invokeNodeRound, &s);
-                    return;
-                }
-                admitUpTo(s, t);
-            }
-
-            double dispatch_us = std::max(t, s.queue.front().arrivalUs);
-
-            // Each node runs its own window controller; the fixed
-            // policy never consults it, so the open-loop trajectory
-            // is untouched.
-            const double window_us = adaptive
-                                         ? batchers[n].windowUs()
-                                         : _cfg.coalesceWindowUs;
-            if (window_us > 0.0 &&
-                s.queue.size() < _cfg.maxCoalescedBatch) {
-                const double deadline_us = dispatch_us + window_us;
-                while (s.queue.size() < _cfg.maxCoalescedBatch &&
-                       s.next < s.ids.size() &&
-                       arrival_us[s.ids[s.next]] <= deadline_us) {
-                    const double ta = arrival_us[s.ids[s.next]];
-                    const std::size_t before = s.queue.size();
-                    admitUpTo(s, ta);
-                    if (s.queue.size() > before)
-                        dispatch_us = ta;
-                }
-                if (s.queue.size() < _cfg.maxCoalescedBatch)
-                    dispatch_us = deadline_us; // timer fired underfull
-            }
-
-            std::vector<std::uint32_t> batch_ids;
-            std::vector<double> batch_arrivals;
-            while (!s.queue.empty() &&
-                   batch_ids.size() < _cfg.maxCoalescedBatch) {
-                const PendingRequest req = s.queue.front();
-                s.queue.pop_front();
-                if (_cfg.queueTimeoutUs > 0.0 &&
-                    dispatch_us - req.arrivalUs >
-                        _cfg.queueTimeoutUs) {
-                    ++s.droppedTimeout;
-                    classifyDrop(req.id);
-                    continue;
-                }
-                batch_ids.push_back(req.id);
-                batch_arrivals.push_back(req.arrivalUs);
-            }
-            if (batch_ids.empty()) {
-                s.workerFree[w] =
-                    std::max(s.workerFree[w], dispatch_us);
-                scheduleRound(n);
-                return;
-            }
-
-            const InferenceBatch merged =
-                coalesceRequests(payloads, batch_ids);
-            if (s.node->fabric)
-                s.node->workers[w]->alignClock(
-                    ticksFromUs(dispatch_us));
-            // Snapshot this node's fabric frontier before the primary
-            // books occupancy so a hedge win can cancel its residual.
-            Fabric::Frontier primary_snap;
-            if (hedging && s.node->fabric)
-                primary_snap = s.node->fabric->snapshot();
-            const InferenceResult res =
-                s.node->workers[w]->infer(merged);
-            double service_us = usFromTicks(res.latency());
-
-            // Sharded gather: rows on a replica this node holds are
-            // free; the rest fan out as one one-sided read per owner
-            // node, and the dense stage waits for the slowest. Rows
-            // resident in the node's hot-row cache tier never leave
-            // the node: they count as local and skip the NIC.
-            std::vector<std::uint64_t> bytes(nodes, 0);
-            std::uint64_t cached_remote_bytes = 0;
-            for (std::size_t tb = 0; tb < merged.indices.size();
-                 ++tb) {
-                for (std::uint64_t i = 0;
-                     i < merged.indices[tb].size(); ++i) {
-                    const std::uint64_t row = merged.indices[tb][i];
-                    const std::uint32_t shard = map.shardOf(
-                        static_cast<std::uint32_t>(tb), row);
-                    if (map.isOwner(shard, n)) {
-                        ++shard_stats[shard].localLookups;
-                    } else if (merged.rowCached(tb, i)) {
-                        cached_remote_bytes += model.vectorBytes();
-                        ++shard_stats[shard].localLookups;
-                    } else {
-                        const std::uint32_t owner =
-                            map.replicaFor(shard, n);
-                        bytes[owner] += model.vectorBytes();
-                        ++shard_stats[shard].remoteLookups;
-                    }
-                }
-            }
-            if (!net.isNull() && cached_remote_bytes &&
-                s.node->cache)
-                s.node->cache->recordSavedTicks(serializationTicks(
-                    cached_remote_bytes, net.config().nicGBps));
-            if (!net.isNull()) {
-                Tick done_min = 0;
-                Tick done_max = 0;
-                std::uint32_t fanout = 0;
-                std::uint64_t read_bytes = 0;
-                const Tick ready = ticksFromUs(dispatch_us);
-                for (std::uint32_t owner = 0; owner < nodes;
-                     ++owner) {
-                    if (bytes[owner] == 0)
-                        continue;
-                    const Tick done =
-                        net.read(n, owner, bytes[owner], ready);
-                    done_min =
-                        fanout ? std::min(done_min, done) : done;
-                    done_max = std::max(done_max, done);
-                    ++fanout;
-                    read_bytes += bytes[owner];
-                }
-                if (fanout > 0) {
-                    // The gather overlaps the local IDX+EMB phases;
-                    // only the tail past them extends the dispatch.
-                    const double emb_done_us =
-                        dispatch_us +
-                        usFromTicks(res.phaseTicks(Phase::Idx) +
-                                    res.phaseTicks(Phase::Emb));
-                    const double extra_us = std::max(
-                        0.0, usFromTicks(done_max) - emb_done_us);
-                    service_us += extra_us;
-                    s.remoteGatherUs += extra_us;
-                    s.remoteReads += fanout;
-                    s.remoteReadBytes += read_bytes;
-                    fanout_total += fanout;
-                    ++fanout_dispatches;
-                    if (fanout > 1)
-                        straggler_us +=
-                            usFromTicks(done_max - done_min);
-                }
-            }
-
-            const double done_us = dispatch_us + service_us;
-
-            // Hedged duplicate: a dispatch running past the
-            // q-quantile of observed service times clones onto the
-            // earliest-free worker of the next active node; the first
-            // completion wins and the loser is cancelled at the
-            // winner tick. The clone serves from its own node's
-            // replicas without a modeled gather - a deliberate
-            // simplification: hedge targets are picked for headroom,
-            // and charging the NIC twice for one logical request
-            // would double-book the fabric the primary already paid.
-            double complete_us = done_us;
-            bool clone_won = false;
-            if (hedging && svc_quantile.ready()) {
-                const double delay_us =
-                    svc_quantile.quantileUs(ctrl.hedgeQuantile);
-                std::uint32_t n2 = nodes;
-                if (service_us > delay_us) {
-                    for (std::uint32_t k = 1; k < nodes; ++k) {
-                        const std::uint32_t cand = (n + k) % nodes;
-                        if (node_active[cand]) {
-                            n2 = cand;
-                            break;
-                        }
-                    }
-                }
-                if (n2 < nodes) {
-                    NodeState &s2 = ns[n2];
-                    const std::size_t w2 = static_cast<std::size_t>(
-                        std::min_element(s2.workerFree.begin(),
-                                         s2.workerFree.end()) -
-                        s2.workerFree.begin());
-                    const double clone_start =
-                        std::max(dispatch_us + delay_us,
-                                 s2.workerFree[w2]);
-                    if (clone_start < done_us) {
-                        ++hedge_dispatches;
-                        Fabric::Frontier clone_snap;
-                        if (s2.node->fabric) {
-                            clone_snap = s2.node->fabric->snapshot();
-                            s2.node->workers[w2]->alignClock(
-                                ticksFromUs(clone_start));
-                        }
-                        const InferenceResult clone_res =
-                            s2.node->workers[w2]->infer(merged);
-                        const double clone_service =
-                            usFromTicks(clone_res.latency());
-                        const double clone_done =
-                            clone_start + clone_service;
-                        if (clone_done < done_us) {
-                            // Clone wins; cancel the primary at
-                            // clone_done. The pre-primary frontier
-                            // keeps the clone's bookings (other
-                            // node's fabric) and reclaims the
-                            // primary's residual.
-                            ++hedge_wins;
-                            clone_won = true;
-                            complete_us = clone_done;
-                            const double burned =
-                                clone_done - dispatch_us;
-                            s.workerFree[w] = clone_done;
-                            s.workerStats[w].busyUs += burned;
-                            s.workerStats[w].fabricWaitUs +=
-                                usFromTicks(res.fabricWait);
-                            hedge_wasted_us += burned;
-                            hedge_energy_joules +=
-                                service_us > 0.0
-                                    ? res.energyJoules *
-                                          (burned / service_us)
-                                    : 0.0;
-                            if (s.node->fabric)
-                                s.node->fabric->cancelAfter(
-                                    primary_snap,
-                                    ticksFromUs(clone_done));
-                            s2.workerFree[w2] = clone_done;
-                            s2.workerStats[w2].busyUs +=
-                                clone_service;
-                            s2.workerStats[w2].served +=
-                                batch_ids.size();
-                            ++s2.workerStats[w2].dispatches;
-                            s2.workerStats[w2].energyJoules +=
-                                clone_res.energyJoules;
-                            s2.workerStats[w2].fabricWaitUs +=
-                                usFromTicks(clone_res.fabricWait);
-                            s2.workerStats[w2].cacheHits +=
-                                clone_res.cacheHits;
-                            s2.workerStats[w2].cacheMisses +=
-                                clone_res.cacheMisses;
-                            s2.workerStats[w2].cacheSavedUs +=
-                                usFromTicks(clone_res.cacheSavedTicks);
-                            s2.energyJoules += clone_res.energyJoules;
-                            s2.served += batch_ids.size();
-                            ++s2.dispatches;
-                            energy_joules += clone_res.energyJoules;
-                        } else {
-                            // Primary wins (ties included); cancel
-                            // the clone on its own node.
-                            ++hedge_losses;
-                            const double burned = done_us - clone_start;
-                            s2.workerFree[w2] =
-                                std::max(s2.workerFree[w2], done_us);
-                            s2.workerStats[w2].busyUs += burned;
-                            hedge_wasted_us += burned;
-                            hedge_energy_joules +=
-                                clone_service > 0.0
-                                    ? clone_res.energyJoules *
-                                          (burned / clone_service)
-                                    : 0.0;
-                            if (s2.node->fabric)
-                                s2.node->fabric->cancelAfter(
-                                    clone_snap, ticksFromUs(done_us));
-                        }
-                    }
-                }
-            }
-            if (hedging)
-                svc_quantile.add(service_us);
-
-            if (!clone_won) {
-                s.workerFree[w] = done_us;
-                s.workerStats[w].busyUs += service_us;
-                s.workerStats[w].served += batch_ids.size();
-                ++s.workerStats[w].dispatches;
-                s.workerStats[w].energyJoules += res.energyJoules;
-                s.workerStats[w].fabricWaitUs +=
-                    usFromTicks(res.fabricWait);
-                s.workerStats[w].cacheHits += res.cacheHits;
-                s.workerStats[w].cacheMisses += res.cacheMisses;
-                s.workerStats[w].cacheSavedUs +=
-                    usFromTicks(res.cacheSavedTicks);
-                s.energyJoules += res.energyJoules;
-                s.served += batch_ids.size();
-                ++s.dispatches;
-                energy_joules += res.energyJoules;
-            }
-            last_completion = std::max(last_completion, complete_us);
-            served += batch_ids.size();
-            ++dispatches;
-
-            // On the open-loop path this is service_us bit-for-bit;
-            // only a winning clone shortens the effective service.
-            const double effective_service_us =
-                clone_won ? complete_us - dispatch_us : service_us;
-            double worst_latency_us = 0.0;
-            double tightest_target_us = 0.0;
-            for (std::size_t k = 0; k < batch_ids.size(); ++k) {
-                const double arrival = batch_arrivals[k];
-                const double total = complete_us - arrival;
-                worst_latency_us = std::max(worst_latency_us, total);
-                latency.sample(total);
-                service.sample(effective_service_us);
-                queueing.sample(dispatch_us - arrival);
-                if (_cfg.slaTargetUs > 0.0 &&
-                    total <= _cfg.slaTargetUs)
-                    ++sla_hits;
-                if (num_classes) {
-                    const std::size_t c = batch_ids[k] % num_classes;
-                    const SloClass &cls = _cfg.sloClasses[c];
-                    class_latency[c].sample(total);
-                    ++class_served[c];
-                    if (total <= cls.p99TargetUs)
-                        ++class_within[c];
-                    if (tightest_target_us == 0.0 ||
-                        cls.p99TargetUs < tightest_target_us)
-                        tightest_target_us = cls.p99TargetUs;
-                }
-            }
-
-            if (adaptive)
-                batchers[n].update(s.queue.size(),
-                                   _cfg.maxCoalescedBatch,
-                                   worst_latency_us,
-                                   tightest_target_us);
-
-            if (scaling) {
-                interval_busy_us += effective_service_us;
-                while (scaler.due(dispatch_us)) {
-                    const int dir = scaler.decide(interval_busy_us);
-                    interval_busy_us = 0.0;
-                    if (dir < 0)
-                        drainNode(dispatch_us);
-                    else if (dir > 0)
-                        wakeNode(dispatch_us);
-                }
-            }
-            scheduleRound(n);
-        };
-    }
-
-    for (std::uint32_t n = 0; n < nodes; ++n)
-        events.schedule(n, 0, &invokeNodeRound, &ns[n]);
-    events.run();
+    ClusterRun run(_topo, _cfg);
+    run.simulate();
 
     ClusterStats out;
-    out.cluster = clusterSpecName(spec);
-    out.spec = spec;
-    out.routeOf = std::move(route_of);
+    out.cluster = clusterSpecName(_topo.spec());
+    out.spec = _topo.spec();
+    out.total = run.finish();
 
-    ServingStats &tot = out.total;
-    tot.offered = num_requests;
-    tot.served = served;
-    tot.meanServiceUs = service.mean();
-    tot.meanQueueUs = queueing.mean();
-    tot.meanLatencyUs = latency.mean();
-    tot.p50Us = latency.quantile(0.50);
-    tot.p95Us = latency.quantile(0.95);
-    tot.p99Us = latency.quantile(0.99);
-    tot.maxLatencyUs = latency.max();
-    tot.latencyOverflow = latency.overflow();
-    tot.offeredRps = _cfg.arrivalRatePerSec;
-    tot.throughputRps =
-        last_completion > 0.0
-            ? static_cast<double>(served) * 1e6 / last_completion
-            : 0.0;
-    tot.energyJoules = energy_joules;
-    tot.dispatches = dispatches;
-    tot.meanCoalescedRequests =
-        dispatches ? static_cast<double>(served) /
-                         static_cast<double>(dispatches)
-                   : 0.0;
-    tot.slaTargetUs = _cfg.slaTargetUs;
-    tot.slaHitRate = _cfg.slaTargetUs > 0.0
-                         ? static_cast<double>(sla_hits) /
-                               static_cast<double>(num_requests)
-                         : 0.0;
-    tot.p999Us = latency.quantile(0.999);
-    tot.droppedBurstArrivals = dropped_burst;
-    tot.droppedIdleArrivals = dropped_idle;
-
-    const Tick horizon = ticksFromUs(last_completion);
-    double busy_total_us = 0.0;
-    std::size_t total_workers = 0;
-    out.perNode.resize(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-        NodeState &s = ns[n];
-        ClusterNodeStats &pn = out.perNode[n];
-        pn.node = n;
-        pn.spec = spec.nodeSpec;
-        pn.routed = s.ids.size();
-        pn.served = s.served;
-        pn.dispatches = s.dispatches;
-        pn.nodeEnergyJoules = s.energyJoules;
-        pn.remoteReads = s.remoteReads;
-        pn.remoteReadBytes = s.remoteReadBytes;
-        pn.remoteGatherUs = s.remoteGatherUs;
-        if (s.node->cache) {
-            pn.cache = s.node->cache->stats();
-            tot.cache += pn.cache;
-        }
-        tot.droppedQueueFull += s.droppedFull;
-        tot.droppedTimeout += s.droppedTimeout;
-
-        for (std::size_t i = 0; i < s.workerStats.size(); ++i) {
-            WorkerStats &ws = s.workerStats[i];
-            ws.utilization = last_completion > 0.0
-                                 ? ws.busyUs / last_completion
-                                 : 0.0;
+    const double last_us = run.acc.lastCompletionUs;
+    const Tick horizon = ticksFromUs(last_us);
+    for (NodeScheduler &node : run.nodes) {
+        ClusterNodeStats pn;
+        pn.node = node.index;
+        pn.spec = _topo.spec().nodeSpec;
+        pn.routed = node.ids.size();
+        pn.served = node.served;
+        pn.dispatches = node.dispatches;
+        pn.nodeEnergyJoules = node.energyJoules;
+        pn.remoteReads = run.remote[node.index].reads;
+        pn.remoteReadBytes = run.remote[node.index].readBytes;
+        pn.remoteGatherUs = run.remote[node.index].gatherUs;
+        pn.cache = node.cacheStats();
+        for (const WorkerStats &ws : node.stats) {
             pn.busyUs += ws.busyUs;
             pn.fabricWaitUs += ws.fabricWaitUs;
-            busy_total_us += ws.busyUs;
-            tot.fabricWaitUs += ws.fabricWaitUs;
         }
         pn.utilization =
-            last_completion > 0.0
+            last_us > 0.0
                 ? pn.busyUs /
-                      (last_completion *
-                       static_cast<double>(s.workerStats.size()))
+                      (last_us * static_cast<double>(node.stats.size()))
                 : 0.0;
-
-        if (s.node->fabric) {
-            for (std::size_t i = 0; i < kNumNodeResources; ++i) {
-                const auto r = static_cast<NodeResource>(i);
-                const ResourceClock &clk = s.node->fabric->clock(r);
-                FabricResourceStats fs;
-                fs.resource = nodeResourceName(r);
-                fs.lanes = clk.lanes();
-                fs.grants = clk.grants();
-                fs.busyUs = usFromTicks(clk.busyTicks());
-                fs.waitUs = usFromTicks(clk.waitTicks());
-                fs.utilization = clk.utilization(horizon);
-                pn.fabric.push_back(std::move(fs));
-            }
-        }
-        total_workers += s.workerStats.size();
-        pn.workers = std::move(s.workerStats);
-        tot.perWorker.insert(tot.perWorker.end(),
-                             pn.workers.begin(), pn.workers.end());
+        pn.fabric = node.fabricStats(horizon);
+        pn.workers = node.stats;
+        out.perNode.push_back(std::move(pn));
     }
-    tot.utilization =
-        last_completion > 0.0 && total_workers > 0
-            ? busy_total_us /
-                  (last_completion *
-                   static_cast<double>(total_workers))
-            : 0.0;
+    out.perShard = std::move(run.shardStats);
 
-    // Idle energy: time a node's workers spent provisioned but not
-    // serving, priced at a fraction of spec draw (same convention as
-    // the single-node engine). A drained node stops accruing.
-    constexpr double kIdleEnergyFraction = 0.3;
-    double idle_energy_joules = 0.0;
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-        if (node_active[n])
-            node_active_us[n] += last_completion - active_since[n];
-        const NodeState &s = ns[n];
-        const ClusterNodeStats &pn = out.perNode[n];
-        for (std::size_t i = 0; i < pn.workers.size(); ++i) {
-            const double idle_us = std::max(
-                0.0, node_active_us[n] - pn.workers[i].busyUs);
-            const double watts =
-                s.node->workers[i]->power().watts(
-                    s.node->workers[i]->design());
-            idle_energy_joules +=
-                idle_us * 1e-6 * watts * kIdleEnergyFraction;
-        }
-    }
-    tot.idleEnergyJoules = idle_energy_joules;
-    tot.joulesPerQuery =
-        served ? (energy_joules + idle_energy_joules +
-                  hedge_energy_joules) /
-                     static_cast<double>(served)
-               : 0.0;
-
-    // Per-SLO-class outcome: offered counts come straight from the
-    // round-robin stamping, attainment counts drops as misses.
-    for (std::size_t c = 0; c < num_classes; ++c) {
-        SloClassStats cs;
-        cs.name = _cfg.sloClasses[c].name;
-        cs.targetUs = _cfg.sloClasses[c].p99TargetUs;
-        cs.offered = num_requests / num_classes +
-                     (c < num_requests % num_classes ? 1 : 0);
-        cs.served = class_served[c];
-        cs.p99Us = class_latency[c].quantile(0.99);
-        cs.attainment =
-            cs.offered ? static_cast<double>(class_within[c]) /
-                             static_cast<double>(cs.offered)
-                       : 0.0;
-        tot.perClass.push_back(std::move(cs));
-    }
-
-    tot.ctrl.policy = ctrlPartName(ctrl);
-    if (adaptive) {
-        // Merge the per-node window trajectories: updates sum,
-        // extrema merge, the mean weights by update count, and the
-        // final window averages across nodes.
-        double weighted_sum_us = 0.0;
-        double final_sum_us = 0.0;
-        for (std::uint32_t n = 0; n < nodes; ++n) {
-            CtrlStats one;
-            batchers[n].fill(&one);
-            tot.ctrl.windowUpdates += one.windowUpdates;
-            final_sum_us += one.windowFinalUs;
-            weighted_sum_us +=
-                one.windowMeanUs *
-                static_cast<double>(one.windowUpdates);
-            if (n == 0) {
-                tot.ctrl.windowMinUs = one.windowMinUs;
-                tot.ctrl.windowMaxUs = one.windowMaxUs;
-            } else {
-                tot.ctrl.windowMinUs =
-                    std::min(tot.ctrl.windowMinUs, one.windowMinUs);
-                tot.ctrl.windowMaxUs =
-                    std::max(tot.ctrl.windowMaxUs, one.windowMaxUs);
-            }
-        }
-        tot.ctrl.windowFinalUs =
-            final_sum_us / static_cast<double>(nodes);
-        tot.ctrl.windowMeanUs =
-            tot.ctrl.windowUpdates
-                ? weighted_sum_us /
-                      static_cast<double>(tot.ctrl.windowUpdates)
-                : tot.ctrl.windowFinalUs;
-    } else {
-        tot.ctrl.windowMinUs = _cfg.coalesceWindowUs;
-        tot.ctrl.windowMeanUs = _cfg.coalesceWindowUs;
-        tot.ctrl.windowMaxUs = _cfg.coalesceWindowUs;
-        tot.ctrl.windowFinalUs = _cfg.coalesceWindowUs;
-    }
-    tot.ctrl.hedgeDispatches = hedge_dispatches;
-    tot.ctrl.hedgeWins = hedge_wins;
-    tot.ctrl.hedgeLosses = hedge_losses;
-    tot.ctrl.hedgeWastedUs = hedge_wasted_us;
-    tot.ctrl.hedgeEnergyJoules = hedge_energy_joules;
-    if (scaling) {
-        scaler.fill(&tot.ctrl);
-    } else {
-        tot.ctrl.activeMin = nodes;
-        tot.ctrl.activeMax = nodes;
-        tot.ctrl.meanActiveWorkers = static_cast<double>(nodes);
-    }
-
-    out.perShard = std::move(shard_stats);
-
-    out.nics.resize(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-        ClusterNicStats &nic = out.nics[n];
+    ClusterNetwork &net = _topo.network();
+    for (std::uint32_t n = 0; n < _topo.nodes(); ++n) {
+        ClusterNicStats nic;
         nic.node = n;
         nic.txGrants = net.tx(n).grants();
         nic.rxGrants = net.rx(n).grants();
@@ -936,16 +345,17 @@ ClusterEngine::run()
         nic.rxWaitUs = usFromTicks(net.rx(n).waitTicks());
         nic.txUtilization = net.tx(n).utilization(horizon);
         nic.rxUtilization = net.rx(n).utilization(horizon);
+        out.nics.push_back(nic);
     }
     out.remoteReads = net.reads();
     out.remoteReadBytes = net.readBytes();
     out.connectionSetups = net.setups();
-    out.meanFanout =
-        fanout_dispatches
-            ? static_cast<double>(fanout_total) /
-                  static_cast<double>(fanout_dispatches)
-            : 0.0;
-    out.stragglerWaitUs = straggler_us;
+    out.meanFanout = run.fanoutDispatches
+                         ? static_cast<double>(run.fanoutTotal) /
+                               static_cast<double>(run.fanoutDispatches)
+                         : 0.0;
+    out.stragglerWaitUs = run.stragglerUs;
+    out.routeOf = std::move(run.routeOf);
     return out;
 }
 

@@ -1,22 +1,30 @@
 /**
  * @file
- * Cluster serving engine: the ServingEngine admission/dispatch loop
- * generalized to N nodes on one shared EventQueue, plus sharded
- * remote embedding gather over the modeled network.
+ * Cluster serving engine: N nodes of the shared serving engine
+ * (core/node_scheduler.hh) on one event queue, plus sharded remote
+ * embedding gather over the modeled network.
  *
- * The engine pre-generates arrivals and payloads exactly like
- * ServingEngine (same RNG streams, request-id order) and routes
- * every request to a node up front (cluster/router.hh). Each node
- * then runs the exact per-node greedy scheduling rounds of the
- * single-node engine - earliest-free worker, coalescing window,
- * drop/timeout shedding - as events on the shared queue, so
- * cross-node interleaving is deterministic. A dispatched batch whose
- * rows live on other nodes issues one one-sided read per owner node
- * (fan-out); the dense stage then waits for the *slowest* read
- * (straggler), extending that dispatch's service time. With one node
- * and a null network no request is remote and no charge is made:
- * the run is tick-identical to ServingEngine (asserted in
- * tests/cluster/test_cluster_identity.cc).
+ * The run draws the same ArrivalStream as ServingEngine (same RNG
+ * streams, request-id order) and routes every request to a node up
+ * front (cluster/router.hh). Each node is a NodeScheduler - the very
+ * admission, coalescing, shedding and hedge bookkeeping a single
+ * node runs - with its own event-queue shard, so cross-node
+ * interleaving is deterministic. What the cluster adds is routing,
+ * shard/NIC accounting, and its side of the four per-engine
+ * decisions:
+ *  - hedge peer: a straggler's clone runs on the earliest-free
+ *    worker of the next active node;
+ *  - autoscaler victim: a whole node; draining one redistributes its
+ *    unadmitted arrivals round-robin over the active nodes;
+ *  - parking: a node with an empty queue re-fires at its next
+ *    arrival's tick, so NIC grants are requested in near-global time
+ *    order;
+ *  - gather charge: rows on other nodes fan out as one one-sided
+ *    read per owner node, and the dense stage waits for the slowest
+ *    (straggler), extending that dispatch's service time.
+ * With one node and a null network no request is remote and no
+ * charge is made: the run is tick-identical to ServingEngine
+ * (asserted in tests/cluster/test_cluster_identity.cc).
  */
 
 #ifndef CENTAUR_CLUSTER_ENGINE_HH

@@ -1,16 +1,12 @@
 #include "core/server.hh"
 
-#include <algorithm>
-#include <cmath>
-#include <deque>
-#include <functional>
+#include <numeric>
 
 #include "core/backend.hh"
+#include "core/node_scheduler.hh"
 #include "core/scenario.hh"
 #include "core/system_builder.hh"
-#include "sim/event_queue.hh"
 #include "sim/log.hh"
-#include "sim/random.hh"
 
 namespace centaur {
 
@@ -49,35 +45,65 @@ ServingConfig::workloadConfig() const
 
 namespace {
 
-/** One admitted request waiting for a worker. */
-struct PendingRequest
+/**
+ * One node: a straggler's clone runs on another worker of the node,
+ * and the autoscaler drains and re-adds single workers.
+ */
+class NodeRun final : public ServingRun
 {
-    std::uint32_t id = 0;
-    double arrivalUs = 0.0;
-};
-
-/** Concatenate per-request payloads into one dispatched batch. */
-InferenceBatch
-coalesceRequests(const std::vector<InferenceBatch> &payloads,
-                 const std::vector<std::uint32_t> &ids)
-{
-    const InferenceBatch &first = payloads[ids.front()];
-    InferenceBatch merged;
-    merged.batch = 0;
-    merged.lookupsPerTable = first.lookupsPerTable;
-    merged.indices.resize(first.indices.size());
-    for (std::uint32_t id : ids) {
-        const InferenceBatch &req = payloads[id];
-        merged.batch += req.batch;
-        for (std::size_t t = 0; t < req.indices.size(); ++t)
-            merged.indices[t].insert(merged.indices[t].end(),
-                                     req.indices[t].begin(),
-                                     req.indices[t].end());
-        merged.dense.insert(merged.dense.end(), req.dense.begin(),
-                            req.dense.end());
+  public:
+    NodeRun(const ServingConfig &cfg, const std::vector<System *> &workers,
+            Fabric *fabric)
+        : ServingRun(cfg, cfg.ctrl, workers.front()->config(), 1,
+                     static_cast<std::uint32_t>(workers.size()),
+                     /*park_idle=*/false)
+    {
+        NodeScheduler &node = addNode(workers, fabric);
+        node.ids.resize(cfg.requests);
+        std::iota(node.ids.begin(), node.ids.end(), 0u);
     }
-    return merged;
-}
+
+    /** The earliest-free other active worker, lowest index on ties. */
+    HedgePeer
+    hedgePeer(NodeScheduler &node, std::size_t w) override
+    {
+        HedgePeer peer;
+        for (std::size_t i = 0; i < node.workers.size(); ++i) {
+            if (i == w || !node.active[i])
+                continue;
+            if (!peer.node || node.freeUs[i] < node.freeUs[peer.worker])
+                peer = {&node, i};
+        }
+        return peer;
+    }
+
+    /**
+     * Drain the highest-index active worker (the scaler keeps at
+     * least one), or re-add the lowest-index drained one.
+     */
+    void
+    scale(int dir, double now_us) override
+    {
+        NodeScheduler &node = nodes.front();
+        if (dir < 0) {
+            for (std::size_t i = node.workers.size(); i-- > 0;) {
+                if (node.active[i]) {
+                    node.active[i] = 0;
+                    node.powerDown(i, now_us);
+                    return;
+                }
+            }
+        } else {
+            for (std::size_t i = 0; i < node.workers.size(); ++i) {
+                if (!node.active[i]) {
+                    node.active[i] = 1;
+                    node.powerUp(i, now_us);
+                    return;
+                }
+            }
+        }
+    }
+};
 
 } // namespace
 
@@ -85,20 +111,9 @@ ServingEngine::ServingEngine(std::vector<System *> workers,
                              const ServingConfig &cfg, Fabric *fabric)
     : _workers(std::move(workers)), _cfg(cfg), _fabric(fabric)
 {
-    if (cfg.arrivalRatePerSec <= 0.0)
-        fatal("server needs a positive arrival rate");
-    if (cfg.requests == 0)
-        fatal("server needs at least one request");
+    checkServingConfig(cfg, "serving engine");
     if (_workers.empty())
         fatal("serving engine needs at least one worker");
-    if (cfg.maxCoalescedBatch == 0)
-        fatal("serving engine needs a positive coalesced batch");
-    if (cfg.maxQueueDepth > 0 &&
-        cfg.maxQueueDepth < cfg.maxCoalescedBatch)
-        fatal("maxQueueDepth (", cfg.maxQueueDepth,
-              ") must cover maxCoalescedBatch (",
-              cfg.maxCoalescedBatch,
-              ") or the admission cap starves forming batches");
     for (System *w : _workers)
         if (w == nullptr)
             panic("serving engine got a null worker");
@@ -107,640 +122,11 @@ ServingEngine::ServingEngine(std::vector<System *> workers,
 ServingStats
 ServingEngine::run()
 {
-    const std::uint32_t num_requests = _cfg.requests;
-
-    // Arrival process and per-request payloads, generated up front in
-    // request-id order so results are independent of how the workers
-    // later interleave.
-    Rng arrivals_rng(_cfg.seed * 7919 + 13);
-    WorkloadConfig wl = _cfg.workloadConfig();
-    WorkloadGenerator gen(_workers.front()->config(), wl);
-
-    // Poisson draws exponential gaps at the mean rate. Burst draws
-    // from a two-state mixture: geometric trains of mean length
-    // burstFactor at burstFactor x the mean rate, separated by idle
-    // gaps sized so the long-run mean rate is preserved. Diurnal
-    // modulates the Poisson rate sinusoidally against the arrival
-    // clock (a compressed day) without consuming extra draws.
-    // Because the whole stream is generated here, before any
-    // dispatching, shedding decisions downstream can never perturb
-    // the draw sequence.
-    const double mean_gap_us = 1e6 / _cfg.arrivalRatePerSec;
-    const bool bursty = _cfg.arrival == ArrivalProcess::Burst &&
-                        _cfg.burstFactor > 1.0;
-    const bool diurnal = _cfg.arrival == ArrivalProcess::Diurnal &&
-                         _cfg.diurnalAmplitude > 0.0;
-    const double burst_gap_us = mean_gap_us / _cfg.burstFactor;
-    const double idle_gap_us =
-        mean_gap_us *
-        (_cfg.burstFactor - 1.0 + 1.0 / _cfg.burstFactor);
-    const double diurnal_period_us = _cfg.diurnalPeriodSec * 1e6;
-    std::vector<double> arrival_us(num_requests);
-    // Arrival-state tag per request: 1 when the gap was drawn in the
-    // burst state, 0 otherwise. Drops are classified against this.
-    std::vector<std::uint8_t> arrival_burst(num_requests, 0);
-    std::vector<InferenceBatch> payloads(num_requests);
-    double clock_us = 0.0;
-    for (std::uint32_t r = 0; r < num_requests; ++r) {
-        double gap_mean_us = mean_gap_us;
-        if (bursty) {
-            const bool in_burst =
-                arrivals_rng.nextDouble() >= 1.0 / _cfg.burstFactor;
-            gap_mean_us = in_burst ? burst_gap_us : idle_gap_us;
-            arrival_burst[r] = in_burst ? 1 : 0;
-        } else if (diurnal) {
-            gap_mean_us =
-                mean_gap_us /
-                (1.0 + _cfg.diurnalAmplitude *
-                           std::sin(2.0 * M_PI * clock_us /
-                                    diurnal_period_us));
-        }
-        const double u = std::max(arrivals_rng.nextDouble(), 1e-12);
-        clock_us += -std::log(u) * gap_mean_us;
-        arrival_us[r] = clock_us;
-        payloads[r] = gen.next();
-    }
-
-    StatHistogram latency(0.0, 100000.0, 2000); // us, 50 us buckets
-    StatAverage service;
-    StatAverage queueing;
-
-    // Per-SLO-class accounting (report v1.6). The class of request r
-    // is r % classes - stamped at generation time, no RNG involved.
-    const std::size_t num_classes = _cfg.sloClasses.size();
-    std::vector<StatHistogram> class_latency;
-    class_latency.reserve(num_classes);
-    for (std::size_t c = 0; c < num_classes; ++c)
-        class_latency.emplace_back(0.0, 100000.0, 2000);
-    std::vector<std::uint64_t> class_served(num_classes, 0);
-    std::vector<std::uint64_t> class_within(num_classes, 0);
-
-    // Control plane (ctrlplane/). Controllers are built up front but
-    // only consulted behind their CtrlConfig flags, so a disabled
-    // policy ("ctrl:fixed") executes the open-loop engine
-    // tick-identically.
-    const bool adaptive = _cfg.ctrl.adaptive;
-    const bool hedging = _cfg.ctrl.hedge && _workers.size() > 1;
-    const bool scaling = _cfg.ctrl.scale && _workers.size() > 1;
-    AdaptiveBatcher batcher(
-        _cfg.coalesceWindowUs,
-        std::max(_cfg.coalesceWindowUs * 8.0, 4.0 * mean_gap_us));
-    ServiceQuantile svc_quantile;
-    Autoscaler scaler(_cfg.ctrl,
-                      static_cast<std::uint32_t>(_workers.size()),
-                      std::max(1000.0, 32.0 * mean_gap_us));
-    std::vector<std::uint8_t> worker_active(_workers.size(), 1);
-    std::vector<double> active_since(_workers.size(), 0.0);
-    std::vector<double> active_us(_workers.size(), 0.0);
-    double interval_busy_us = 0.0;
-
-    std::vector<double> worker_free(_workers.size(), 0.0);
-    std::vector<WorkerStats> worker_stats(_workers.size());
-    for (std::size_t i = 0; i < _workers.size(); ++i)
-        worker_stats[i].spec = _workers[i]->spec();
-
-    std::deque<PendingRequest> queue;
-    std::uint32_t next_arrival = 0;
-    std::uint64_t dropped_full = 0;
-    std::uint64_t dropped_timeout = 0;
-    std::uint64_t dropped_burst = 0;
-    std::uint64_t dropped_idle = 0;
-    std::uint64_t served = 0;
-    std::uint64_t dispatches = 0;
-    std::uint64_t sla_hits = 0;
-    std::uint64_t hedge_dispatches = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t hedge_losses = 0;
-    double hedge_wasted_us = 0.0;
-    double hedge_energy_joules = 0.0;
-    double energy_joules = 0.0;
-    double last_completion = 0.0;
-
-    // Classify a shed request by the arrival state its gap was drawn
-    // in (pure bookkeeping - the draw stream is fixed above).
-    const auto classifyDrop = [&](std::uint32_t id) {
-        if (!bursty)
-            return;
-        if (arrival_burst[id])
-            ++dropped_burst;
-        else
-            ++dropped_idle;
-    };
-
-    // Admit every arrival with timestamp <= t, dropping on overflow.
-    const auto admitUpTo = [&](double t) {
-        while (next_arrival < num_requests &&
-               arrival_us[next_arrival] <= t) {
-            if (_cfg.maxQueueDepth > 0 &&
-                queue.size() >= _cfg.maxQueueDepth) {
-                ++dropped_full;
-                classifyDrop(next_arrival);
-            } else {
-                queue.push_back(
-                    {next_arrival, arrival_us[next_arrival]});
-            }
-            ++next_arrival;
-        }
-    };
-
-    // The admission/dispatch loop runs on the discrete-event
-    // kernel: every scheduling round is an event stamped at the
-    // earliest-free worker's tick. The round body is the exact
-    // greedy state machine this engine has always run - decisions
-    // read the double-precision microsecond state, not the event
-    // clock, so an absent fabric reproduces the legacy engine's
-    // numbers bit for bit, and fabric interleaving comes from
-    // dispatch order plus alignClock() below. What the kernel adds
-    // is the global clock anchor: rounds carry honest simulated-time
-    // stamps, so future event sources (deadline timers, per-segment
-    // completions, cross-node traffic) can be scheduled against the
-    // same queue instead of being bolted onto a private while-loop.
-    //
-    // When nothing consults the event clock - no shared fabric, no
-    // ctrl policy armed - the chain of rounds is closed-form: each
-    // round's decisions read only the microsecond state, so the
-    // whole run collapses to a plain loop over the same body
-    // (tick-identical by the tests above, and one simulated event
-    // per round is still booked so sim_events stays byte-identical).
-    EventQueue events;
-
-    // Earliest-free *active* worker, ascending index on ties - with
-    // every worker active this is exactly std::min_element over
-    // worker_free, so the open-loop engine's choice is unchanged.
-    const auto earliestActive = [&]() {
-        std::size_t best = _workers.size();
-        for (std::size_t i = 0; i < _workers.size(); ++i) {
-            if (!worker_active[i])
-                continue;
-            if (best == _workers.size() ||
-                worker_free[i] < worker_free[best])
-                best = i;
-        }
-        return best;
-    };
-
-    // One scheduling round; returns false once the run has drained
-    // (nothing admitted, nothing left to arrive). The caller - event
-    // chain or closed-form loop - re-fires it while it returns true.
-    const auto round_body = [&]() -> bool {
-        // The earliest-free active worker claims the next dispatch.
-        const std::size_t w = earliestActive();
-        double t = worker_free[w];
-        admitUpTo(t);
-        if (queue.empty()) {
-            if (next_arrival >= num_requests)
-                return false; // drained: nothing left to schedule
-            t = arrival_us[next_arrival];
-            admitUpTo(t);
-        }
-
-        double dispatch_us = std::max(t, queue.front().arrivalUs);
-
-        // Dynamic batching window: an underfull batch waits for more
-        // arrivals, dispatching as soon as it fills or the window
-        // timer expires - whichever comes first. The adaptive
-        // batcher swaps in its controlled window; updates land at
-        // dispatch boundaries in request-id order, so the trajectory
-        // is jobs-independent.
-        const double window_us =
-            adaptive ? batcher.windowUs() : _cfg.coalesceWindowUs;
-        if (window_us > 0.0 &&
-            queue.size() < _cfg.maxCoalescedBatch) {
-            const double deadline_us = dispatch_us + window_us;
-            while (queue.size() < _cfg.maxCoalescedBatch &&
-                   next_arrival < num_requests &&
-                   arrival_us[next_arrival] <= deadline_us) {
-                const double ta = arrival_us[next_arrival];
-                const std::size_t before = queue.size();
-                admitUpTo(ta);
-                if (queue.size() > before)
-                    dispatch_us = ta;
-            }
-            if (queue.size() < _cfg.maxCoalescedBatch)
-                dispatch_us = deadline_us; // timer fired underfull
-        }
-
-        // Pop the batch in arrival order, shedding requests whose
-        // queueing time exceeded the timeout.
-        std::vector<std::uint32_t> batch_ids;
-        std::vector<double> batch_arrivals;
-        while (!queue.empty() &&
-               batch_ids.size() < _cfg.maxCoalescedBatch) {
-            const PendingRequest req = queue.front();
-            queue.pop_front();
-            if (_cfg.queueTimeoutUs > 0.0 &&
-                dispatch_us - req.arrivalUs > _cfg.queueTimeoutUs) {
-                ++dropped_timeout;
-                classifyDrop(req.id);
-                continue;
-            }
-            batch_ids.push_back(req.id);
-            batch_arrivals.push_back(req.arrivalUs);
-        }
-        if (batch_ids.empty()) {
-            // Everything popped had timed out; the worker idles at
-            // the dispatch point and retries next round.
-            worker_free[w] = std::max(worker_free[w], dispatch_us);
-            return true;
-        }
-
-        const InferenceBatch merged =
-            coalesceRequests(payloads, batch_ids);
-        // On a shared node, pull the worker's private clock forward
-        // to the dispatch point so its fabric occupations happen in
-        // global time rather than on a densely-packed private
-        // timeline.
-        if (_fabric)
-            _workers[w]->alignClock(ticksFromUs(dispatch_us));
-        // Snapshot the fabric frontier before the primary books
-        // occupancy so a hedge win can cancel its residual.
-        Fabric::Frontier primary_snap;
-        if (hedging && _fabric)
-            primary_snap = _fabric->snapshot();
-        const InferenceResult res = _workers[w]->infer(merged);
-        const double service_us = usFromTicks(res.latency());
-        const double done_us = dispatch_us + service_us;
-
-        // Hedged duplicate: once enough service history is banked, a
-        // dispatch running past the q-quantile of observed service
-        // times is a straggler; clone it onto the earliest-free
-        // other active worker, delayed by that quantile, and let the
-        // first completion win. The loser is cancelled at the winner
-        // tick: its worker frees, its residual fabric occupancy
-        // rolls back, and its burned time/energy is accounted as
-        // hedge waste, separate from useful work.
-        double complete_us = done_us;
-        bool clone_won = false;
-        if (hedging && svc_quantile.ready()) {
-            const double delay_us =
-                svc_quantile.quantileUs(_cfg.ctrl.hedgeQuantile);
-            std::size_t w2 = _workers.size();
-            if (service_us > delay_us) {
-                for (std::size_t i = 0; i < _workers.size(); ++i) {
-                    if (i == w || !worker_active[i])
-                        continue;
-                    if (w2 == _workers.size() ||
-                        worker_free[i] < worker_free[w2])
-                        w2 = i;
-                }
-            }
-            const double clone_start =
-                w2 < _workers.size()
-                    ? std::max(dispatch_us + delay_us, worker_free[w2])
-                    : 0.0;
-            if (w2 < _workers.size() && clone_start < done_us) {
-                ++hedge_dispatches;
-                Fabric::Frontier clone_snap;
-                if (_fabric) {
-                    clone_snap = _fabric->snapshot();
-                    _workers[w2]->alignClock(ticksFromUs(clone_start));
-                }
-                const InferenceResult clone_res =
-                    _workers[w2]->infer(merged);
-                const double clone_service =
-                    usFromTicks(clone_res.latency());
-                const double clone_done = clone_start + clone_service;
-                if (clone_done < done_us) {
-                    // Clone wins; primary cancelled at clone_done.
-                    // Rolling back to the pre-primary frontier keeps
-                    // the clone's bookings (they end by clone_done)
-                    // and reclaims the primary's residual.
-                    ++hedge_wins;
-                    clone_won = true;
-                    complete_us = clone_done;
-                    const double burned = clone_done - dispatch_us;
-                    worker_free[w] = clone_done;
-                    worker_stats[w].busyUs += burned;
-                    worker_stats[w].fabricWaitUs +=
-                        usFromTicks(res.fabricWait);
-                    hedge_wasted_us += burned;
-                    hedge_energy_joules +=
-                        service_us > 0.0
-                            ? res.energyJoules * (burned / service_us)
-                            : 0.0;
-                    if (_fabric)
-                        _fabric->cancelAfter(primary_snap,
-                                             ticksFromUs(clone_done));
-                    worker_free[w2] = clone_done;
-                    worker_stats[w2].busyUs += clone_service;
-                    worker_stats[w2].served += batch_ids.size();
-                    ++worker_stats[w2].dispatches;
-                    worker_stats[w2].energyJoules +=
-                        clone_res.energyJoules;
-                    worker_stats[w2].fabricWaitUs +=
-                        usFromTicks(clone_res.fabricWait);
-                    worker_stats[w2].cacheHits += clone_res.cacheHits;
-                    worker_stats[w2].cacheMisses +=
-                        clone_res.cacheMisses;
-                    worker_stats[w2].cacheSavedUs +=
-                        usFromTicks(clone_res.cacheSavedTicks);
-                    energy_joules += clone_res.energyJoules;
-                } else {
-                    // Primary wins (ties included); cancel the clone.
-                    ++hedge_losses;
-                    const double burned = done_us - clone_start;
-                    worker_free[w2] =
-                        std::max(worker_free[w2], done_us);
-                    worker_stats[w2].busyUs += burned;
-                    hedge_wasted_us += burned;
-                    hedge_energy_joules +=
-                        clone_service > 0.0
-                            ? clone_res.energyJoules *
-                                  (burned / clone_service)
-                            : 0.0;
-                    if (_fabric)
-                        _fabric->cancelAfter(clone_snap,
-                                             ticksFromUs(done_us));
-                }
-            }
-        }
-        if (hedging)
-            svc_quantile.add(service_us);
-
-        if (!clone_won) {
-            worker_free[w] = done_us;
-            worker_stats[w].busyUs += service_us;
-            worker_stats[w].served += batch_ids.size();
-            ++worker_stats[w].dispatches;
-            worker_stats[w].energyJoules += res.energyJoules;
-            worker_stats[w].fabricWaitUs +=
-                usFromTicks(res.fabricWait);
-            worker_stats[w].cacheHits += res.cacheHits;
-            worker_stats[w].cacheMisses += res.cacheMisses;
-            worker_stats[w].cacheSavedUs +=
-                usFromTicks(res.cacheSavedTicks);
-            energy_joules += res.energyJoules;
-        }
-        last_completion = std::max(last_completion, complete_us);
-        served += batch_ids.size();
-        ++dispatches;
-
-        // On the open-loop path this is service_us bit-for-bit; only
-        // a winning clone shortens the effective service time.
-        const double effective_service_us =
-            clone_won ? complete_us - dispatch_us : service_us;
-        double worst_latency_us = 0.0;
-        double tightest_target_us = 0.0;
-        for (std::size_t k = 0; k < batch_ids.size(); ++k) {
-            const double arrival = batch_arrivals[k];
-            const double total = complete_us - arrival;
-            worst_latency_us = std::max(worst_latency_us, total);
-            latency.sample(total);
-            service.sample(effective_service_us);
-            queueing.sample(dispatch_us - arrival);
-            if (_cfg.slaTargetUs > 0.0 && total <= _cfg.slaTargetUs)
-                ++sla_hits;
-            if (num_classes) {
-                const std::size_t c = batch_ids[k] % num_classes;
-                const SloClass &cls = _cfg.sloClasses[c];
-                class_latency[c].sample(total);
-                ++class_served[c];
-                if (total <= cls.p99TargetUs)
-                    ++class_within[c];
-                if (tightest_target_us == 0.0 ||
-                    cls.p99TargetUs < tightest_target_us)
-                    tightest_target_us = cls.p99TargetUs;
-            }
-        }
-
-        if (adaptive)
-            batcher.update(queue.size(), _cfg.maxCoalescedBatch,
-                           worst_latency_us, tightest_target_us);
-
-        if (scaling) {
-            interval_busy_us += effective_service_us;
-            while (scaler.due(dispatch_us)) {
-                const int dir = scaler.decide(interval_busy_us);
-                interval_busy_us = 0.0;
-                if (dir < 0) {
-                    // Drain the highest-index active worker (floor
-                    // of one is the scaler's invariant).
-                    for (std::size_t i = _workers.size(); i-- > 0;) {
-                        if (worker_active[i]) {
-                            worker_active[i] = 0;
-                            active_us[i] +=
-                                dispatch_us - active_since[i];
-                            break;
-                        }
-                    }
-                } else if (dir > 0) {
-                    // Re-add the lowest-index drained worker; it
-                    // cannot start before the decision tick.
-                    for (std::size_t i = 0; i < _workers.size();
-                         ++i) {
-                        if (!worker_active[i]) {
-                            worker_active[i] = 1;
-                            active_since[i] = dispatch_us;
-                            worker_free[i] = std::max(worker_free[i],
-                                                      dispatch_us);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        return true;
-    };
-
-    // Event-chain driver: a captureless trampoline pointed at the
-    // one persistent round closure, so scheduling a round copies a
-    // 32-byte POD event - never a closure, never an allocation.
-    using RoundBody = std::decay_t<decltype(round_body)>;
-    struct RoundChain
-    {
-        const RoundBody *body;
-        EventQueue *events;
-        const std::vector<double> *workerFree;
-        const std::function<std::size_t()> *earliest;
-
-        static void
-        fire(void *p)
-        {
-            auto *c = static_cast<RoundChain *>(p);
-            if (!(*c->body)())
-                return; // drained: nothing left to schedule
-            const double next_us = (*c->workerFree)[(*c->earliest)()];
-            c->events->schedule(std::max(c->events->now(),
-                                         ticksFromUs(next_us)),
-                                &RoundChain::fire, p);
-        }
-    };
-    const std::function<std::size_t()> earliest_fn = earliestActive;
-    RoundChain chain{&round_body, &events, &worker_free,
-                     &earliest_fn};
-
-    const bool fast_path = _fabric == nullptr && !adaptive &&
-                           !hedging && !scaling &&
-                           !_cfg.forceEventQueue;
-    if (fast_path) {
-        // Closed-form fast path: the round chain is self-contained
-        // (no other event source, no event-clock reads in the body),
-        // so the event loop degenerates to this plain loop. Each
-        // iteration is exactly one event of the reference path;
-        // credit them so sim_events stays byte-identical.
-        std::uint64_t rounds = 0;
-        bool more = true;
-        while (more) {
-            more = round_body();
-            ++rounds;
-        }
-        addGlobalSimEvents(rounds);
-    } else {
-        // The chain keeps one round outstanding; size the heap from
-        // the admission side anyway so co-scheduled event sources
-        // (hedge timers, future deadline events) never reallocate.
-        events.reserve(_workers.size() + 1);
-        events.schedule(0, &RoundChain::fire, &chain);
-        events.run();
-    }
-
-    ServingStats out;
-    out.offered = num_requests;
-    out.served = served;
-    out.droppedQueueFull = dropped_full;
-    out.droppedTimeout = dropped_timeout;
-    out.droppedBurstArrivals = dropped_burst;
-    out.droppedIdleArrivals = dropped_idle;
-    out.meanServiceUs = service.mean();
-    out.meanQueueUs = queueing.mean();
-    // StatHistogram keeps an exact running average alongside the
-    // buckets, so this mean is not bucket-quantized.
-    out.meanLatencyUs = latency.mean();
-    out.p50Us = latency.quantile(0.50);
-    out.p95Us = latency.quantile(0.95);
-    out.p99Us = latency.quantile(0.99);
-    out.p999Us = latency.quantile(0.999);
-    out.maxLatencyUs = latency.max();
-    out.latencyOverflow = latency.overflow();
-    out.offeredRps = _cfg.arrivalRatePerSec;
-    out.throughputRps =
-        last_completion > 0.0
-            ? static_cast<double>(served) * 1e6 / last_completion
-            : 0.0;
-    out.energyJoules = energy_joules;
-    out.dispatches = dispatches;
-    out.meanCoalescedRequests =
-        dispatches ? static_cast<double>(served) /
-                         static_cast<double>(dispatches)
-                   : 0.0;
-
-    double busy_total_us = 0.0;
-    for (std::size_t i = 0; i < worker_stats.size(); ++i) {
-        worker_stats[i].utilization =
-            last_completion > 0.0
-                ? worker_stats[i].busyUs / last_completion
-                : 0.0;
-        busy_total_us += worker_stats[i].busyUs;
-        out.fabricWaitUs += worker_stats[i].fabricWaitUs;
-    }
-
-    if (_fabric) {
-        const Tick horizon = ticksFromUs(last_completion);
-        for (std::size_t i = 0; i < kNumNodeResources; ++i) {
-            const auto r = static_cast<NodeResource>(i);
-            const ResourceClock &clk = _fabric->clock(r);
-            FabricResourceStats fs;
-            fs.resource = nodeResourceName(r);
-            fs.lanes = clk.lanes();
-            fs.grants = clk.grants();
-            // Lane-occupancy time: a gang of k cores for d us books
-            // k*d, so utilization divides out to a capacity fraction.
-            fs.busyUs = usFromTicks(clk.busyTicks());
-            fs.waitUs = usFromTicks(clk.waitTicks());
-            fs.utilization = clk.utilization(horizon);
-            out.fabric.push_back(std::move(fs));
-        }
-    }
-    out.utilization =
-        last_completion > 0.0
-            ? busy_total_us / (last_completion *
-                            static_cast<double>(worker_stats.size()))
-            : 0.0;
-    out.perWorker = std::move(worker_stats);
-
-    // Snapshot the hot-row cache tiers the fleet is attached to; a
-    // node tier shared by several workers counts exactly once.
-    std::vector<const CacheTier *> seen_tiers;
-    for (System *w : _workers) {
-        const CacheTier *tier = w->cacheTier();
-        if (!tier)
-            continue;
-        if (std::find(seen_tiers.begin(), seen_tiers.end(), tier) !=
-            seen_tiers.end())
-            continue;
-        seen_tiers.push_back(tier);
-        out.cache += tier->stats();
-    }
-
-    out.slaTargetUs = _cfg.slaTargetUs;
-    out.slaHitRate = _cfg.slaTargetUs > 0.0
-                         ? static_cast<double>(sla_hits) /
-                               static_cast<double>(num_requests)
-                         : 0.0;
-
-    // Idle energy: time a worker spent provisioned but not serving,
-    // priced at a fraction of its spec draw. With the autoscaler
-    // drained workers stop accruing; without it every worker is
-    // provisioned for the whole run.
-    constexpr double kIdleEnergyFraction = 0.3;
-    double idle_energy_joules = 0.0;
-    for (std::size_t i = 0; i < _workers.size(); ++i) {
-        if (worker_active[i])
-            active_us[i] += last_completion - active_since[i];
-        const double idle_us =
-            std::max(0.0, active_us[i] - out.perWorker[i].busyUs);
-        const double watts =
-            _workers[i]->power().watts(_workers[i]->design());
-        idle_energy_joules +=
-            idle_us * 1e-6 * watts * kIdleEnergyFraction;
-    }
-    out.idleEnergyJoules = idle_energy_joules;
-    out.joulesPerQuery =
-        served ? (energy_joules + idle_energy_joules +
-                  hedge_energy_joules) /
-                     static_cast<double>(served)
-               : 0.0;
-
-    // Per-SLO-class outcome: offered counts come straight from the
-    // round-robin stamping, attainment counts drops as misses.
-    for (std::size_t c = 0; c < num_classes; ++c) {
-        SloClassStats cs;
-        cs.name = _cfg.sloClasses[c].name;
-        cs.targetUs = _cfg.sloClasses[c].p99TargetUs;
-        cs.offered = num_requests / num_classes +
-                     (c < num_requests % num_classes ? 1 : 0);
-        cs.served = class_served[c];
-        cs.p99Us = class_latency[c].quantile(0.99);
-        cs.attainment =
-            cs.offered ? static_cast<double>(class_within[c]) /
-                             static_cast<double>(cs.offered)
-                       : 0.0;
-        out.perClass.push_back(std::move(cs));
-    }
-
-    out.ctrl.policy = ctrlPartName(_cfg.ctrl);
-    if (adaptive) {
-        batcher.fill(&out.ctrl);
-    } else {
-        out.ctrl.windowMinUs = _cfg.coalesceWindowUs;
-        out.ctrl.windowMeanUs = _cfg.coalesceWindowUs;
-        out.ctrl.windowMaxUs = _cfg.coalesceWindowUs;
-        out.ctrl.windowFinalUs = _cfg.coalesceWindowUs;
-    }
-    out.ctrl.hedgeDispatches = hedge_dispatches;
-    out.ctrl.hedgeWins = hedge_wins;
-    out.ctrl.hedgeLosses = hedge_losses;
-    out.ctrl.hedgeWastedUs = hedge_wasted_us;
-    out.ctrl.hedgeEnergyJoules = hedge_energy_joules;
-    if (scaling) {
-        scaler.fill(&out.ctrl);
-    } else {
-        out.ctrl.activeMin =
-            static_cast<std::uint32_t>(_workers.size());
-        out.ctrl.activeMax = out.ctrl.activeMin;
-        out.ctrl.meanActiveWorkers =
-            static_cast<double>(_workers.size());
-    }
+    NodeRun run(_cfg, _workers, _fabric);
+    run.simulate();
+    ServingStats out = run.finish();
+    out.fabric = run.nodes.front().fabricStats(
+        ticksFromUs(run.acc.lastCompletionUs));
     return out;
 }
 
@@ -809,51 +195,6 @@ runServingSim(const Scenario &sc, const ServingConfig &base)
     ServingConfig cfg = base;
     cfg.applyWorkload(rs.workload);
     return runServingSim(sc.spec, rs.models.front().config, cfg);
-}
-
-InferenceServer::InferenceServer(System &sys, const ServerConfig &cfg,
-                                 double sla_target_us)
-    : _sys(sys), _cfg(cfg), _slaTargetUs(sla_target_us)
-{
-    if (cfg.arrivalRatePerSec <= 0.0)
-        fatal("server needs a positive arrival rate");
-    if (cfg.requests == 0)
-        fatal("server needs at least one request");
-}
-
-ServerStats
-InferenceServer::run()
-{
-    ServingConfig cfg;
-    cfg.arrivalRatePerSec = _cfg.arrivalRatePerSec;
-    cfg.batchPerRequest = _cfg.batchPerRequest;
-    cfg.requests = _cfg.requests;
-    cfg.seed = _cfg.seed;
-    cfg.dist = _cfg.dist;
-    cfg.workers = 1;
-    cfg.maxCoalescedBatch = 1;
-    cfg.slaTargetUs = _slaTargetUs;
-
-    const ServingStats s =
-        ServingEngine({&_sys}, cfg).run();
-
-    ServerStats out;
-    out.served = s.served;
-    out.meanServiceUs = s.meanServiceUs;
-    out.meanQueueUs = s.meanQueueUs;
-    out.meanLatencyUs = s.meanLatencyUs;
-    out.p50Us = s.p50Us;
-    out.p95Us = s.p95Us;
-    out.p99Us = s.p99Us;
-    out.maxLatencyUs = s.maxLatencyUs;
-    out.latencyOverflow = s.latencyOverflow;
-    out.throughputRps = s.throughputRps;
-    out.offeredRps = s.offeredRps;
-    out.utilization = s.utilization;
-    out.energyJoules = s.energyJoules;
-    out.slaTargetUs = s.slaTargetUs;
-    out.slaHitRate = s.slaHitRate;
-    return out;
 }
 
 } // namespace centaur

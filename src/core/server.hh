@@ -3,15 +3,25 @@
  * Inference-serving simulation on top of one or more design points.
  *
  * The paper motivates Centaur with user-facing cloud serving under
- * firm SLAs (Section IV-A); this layer closes the loop: Poisson
- * request arrivals feed an arrival-time-ordered admission queue in
- * front of N worker systems. A dynamic batching window coalesces
- * queued requests into one InferenceBatch per dispatch (amortizing
- * MLP/FI cost exactly as the paper's batch sweeps do), and an
- * overload-safe drop/timeout policy bounds the queue. The simulator
- * reports the end-to-end (queue + service) latency distribution,
- * throughput, per-worker utilization and energy - the quantities an
- * operator actually provisions against.
+ * firm SLAs (Section IV-A); this layer closes the loop: Poisson,
+ * bursty or diurnal request arrivals feed an arrival-ordered
+ * admission queue in front of N worker systems. A dynamic batching
+ * window coalesces queued requests into one InferenceBatch per
+ * dispatch (amortizing MLP/FI cost exactly as the paper's batch
+ * sweeps do), and an overload-safe drop/timeout policy bounds the
+ * queue. The simulator reports the end-to-end (queue + service)
+ * latency distribution, throughput, per-worker utilization and
+ * energy - the quantities an operator actually provisions against.
+ *
+ * ServingEngine is one node of the shared serving engine
+ * (core/node_scheduler.hh): a single NodeScheduler on the event
+ * queue, with ClusterEngine (cluster/engine.hh) driving N of them.
+ * Of the four decisions the engines make differently, one node
+ * takes these: a straggler's hedged clone runs on the node's other
+ * earliest-free active worker; the autoscaler drains the
+ * highest-index active worker and re-adds the lowest-index drained
+ * one; an idle worker admits its next arrival without parking on an
+ * extra event; and no dispatch waits on a remote gather.
  */
 
 #ifndef CENTAUR_CORE_SERVER_HH
@@ -114,15 +124,6 @@ struct ServingConfig
      * keeps the open-loop engine tick-identical.
      */
     CtrlConfig ctrl;
-
-    /**
-     * Pin the event-driven reference path even when the closed-form
-     * fast path applies (no fabric, no ctrl policy armed). The two
-     * paths are asserted tick-identical on every registered spec
-     * (tests/core/test_server.cc); this knob exists so those tests
-     * and A/B measurements can drive the event path explicitly.
-     */
-    bool forceEventQueue = false;
 };
 
 /** Per-worker serving results. */
@@ -304,77 +305,6 @@ struct Scenario; // core/scenario.hh
  */
 ServingStats runServingSim(const Scenario &sc,
                            const ServingConfig &base = ServingConfig{});
-
-// ---------------------------------------------------------------------
-// Legacy single-queue, single-server wrapper.
-// ---------------------------------------------------------------------
-
-/** Serving-loop parameters (legacy single-worker surface). */
-struct ServerConfig
-{
-    /** Mean request arrival rate (Poisson), requests per second. */
-    double arrivalRatePerSec = 2000.0;
-    /** Samples (users/items to score) per request. */
-    std::uint32_t batchPerRequest = 8;
-    /** Requests to simulate. */
-    std::uint32_t requests = 200;
-    /** Workload RNG seed. */
-    std::uint64_t seed = 1;
-    /** Index popularity distribution. */
-    IndexDistribution dist = IndexDistribution::Uniform;
-};
-
-/** Aggregate serving results (legacy single-worker surface). */
-struct ServerStats
-{
-    std::uint64_t served = 0;
-    double meanServiceUs = 0.0;
-    double meanQueueUs = 0.0;
-    double meanLatencyUs = 0.0; //!< queue + service
-    double p50Us = 0.0;
-    double p95Us = 0.0;
-    double p99Us = 0.0;
-    double maxLatencyUs = 0.0;
-    /** Latency samples beyond the histogram cap (overloaded tail). */
-    std::uint64_t latencyOverflow = 0;
-    double throughputRps = 0.0;
-    double offeredRps = 0.0;
-    double utilization = 0.0; //!< busy time / wall time
-    double energyJoules = 0.0;
-
-    /** SLA budget the hit rate was measured against (us). */
-    double slaTargetUs = 0.0;
-    /** Fraction of requests within the SLA budget. */
-    double slaHitRate = 0.0;
-};
-
-/**
- * A single-queue, single-server inference service wrapped around a
- * design point. Thin shim over ServingEngine with one worker and no
- * coalescing, kept for the simple "one design point, one queue"
- * studies.
- */
-class InferenceServer
-{
-  public:
-    /**
-     * @param sys design point to serve on (state advances)
-     * @param cfg serving-loop parameters
-     * @param sla_target_us optional SLA budget for hit-rate stats
-     */
-    InferenceServer(System &sys, const ServerConfig &cfg,
-                    double sla_target_us = 0.0);
-
-    /** Simulate the configured number of requests. */
-    ServerStats run();
-
-    const ServerConfig &config() const { return _cfg; }
-
-  private:
-    System &_sys;
-    ServerConfig _cfg;
-    double _slaTargetUs;
-};
 
 } // namespace centaur
 

@@ -4,8 +4,8 @@
  *
  * The control plane (ISCA'20 tail-at-scale mitigations, ROADMAP
  * "closed-loop serving") is four cooperating controllers layered
- * over the PR 5 single-node engine (core/server.cc) and the PR 7
- * cluster engine (cluster/engine.cc):
+ * over the serving engine (core/node_scheduler.hh), one node or a
+ * cluster:
  *
  *   SloTracker       per-class p99 targets from the workload grammar
  *                    ("/slo:<class>:<p99_us>"); requests are stamped

@@ -1,7 +1,6 @@
 #include "ctrlplane/ctrl_spec.hh"
 
-#include <cstdio>
-#include <cstdlib>
+#include "sim/spec_number.hh"
 
 namespace centaur {
 
@@ -9,29 +8,6 @@ namespace {
 
 constexpr const char *kGrammar =
     "ctrl:<fixed|adaptive>[:hedge[:<q>]][:scale[:<lo>-<hi>]]";
-
-/** Parse a finite double, consuming the whole string. */
-bool
-parseNumber(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Shortest %g form that round-trips through parseNumber. */
-std::string
-formatNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 bool
 failWith(std::string *error, const std::string &part,
@@ -91,7 +67,7 @@ tryParseCtrlPart(const std::string &part, CtrlConfig *out,
             // Optional quantile token right after.
             double q = 0.0;
             if (i + 1 < tok.size() &&
-                parseNumber(tok[i + 1], &q)) {
+                parseSpecNumber(tok[i + 1], &q)) {
                 if (q <= 0.0 || q >= 1.0)
                     return failWith(error, part,
                                     "hedge quantile '" + tok[i + 1] +
@@ -110,8 +86,8 @@ tryParseCtrlPart(const std::string &part, CtrlConfig *out,
                 const std::size_t dash = band.find('-');
                 double lo = 0.0;
                 double hi = 0.0;
-                if (!parseNumber(band.substr(0, dash), &lo) ||
-                    !parseNumber(band.substr(dash + 1), &hi))
+                if (!parseSpecNumber(band.substr(0, dash), &lo) ||
+                    !parseSpecNumber(band.substr(dash + 1), &hi))
                     return failWith(error, part,
                                     "scale band '" + band +
                                         "' must be <lo>-<hi>");
@@ -142,10 +118,10 @@ ctrlPartName(const CtrlConfig &cfg)
     std::string name = "ctrl:";
     name += cfg.adaptive ? "adaptive" : "fixed";
     if (cfg.hedge)
-        name += ":hedge:" + formatNumber(cfg.hedgeQuantile);
+        name += ":hedge:" + formatSpecNumber(cfg.hedgeQuantile);
     if (cfg.scale)
-        name += ":scale:" + formatNumber(cfg.scaleLoUtil) + "-" +
-                formatNumber(cfg.scaleHiUtil);
+        name += ":scale:" + formatSpecNumber(cfg.scaleLoUtil) + "-" +
+                formatSpecNumber(cfg.scaleHiUtil);
     return name;
 }
 

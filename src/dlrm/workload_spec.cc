@@ -1,9 +1,7 @@
 #include "dlrm/workload_spec.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "sim/log.hh"
+#include "sim/spec_number.hh"
 
 namespace centaur {
 
@@ -14,29 +12,6 @@ constexpr const char *kGrammar =
     " [@poisson:<qps> | @burst:<qps>:<factor>"
     " | @diurnal:<qps>:<amp>[:<period_s>]]"
     " [/slo:<class>:<p99_us>]...";
-
-/** Parse a finite double, consuming the whole string. */
-bool
-parseNumber(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Shortest %g form that round-trips through parseNumber. */
-std::string
-formatNumber(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 bool
 failWith(std::string *error, const std::string &spec,
@@ -62,7 +37,7 @@ parseDistribution(const std::string &part, const std::string &spec,
     }
     if (part.rfind("zipf:", 0) == 0) {
         double skew = 0.0;
-        if (!parseNumber(part.substr(5), &skew) || skew < 0.0)
+        if (!parseSpecNumber(part.substr(5), &skew) || skew < 0.0)
             return failWith(error, spec,
                             "zipf skew must be a nonnegative number");
         cfg->dist = IndexDistribution::Zipf;
@@ -87,7 +62,7 @@ parseArrival(const std::string &part, const std::string &spec,
 {
     if (part.rfind("poisson:", 0) == 0) {
         double qps = 0.0;
-        if (!parseNumber(part.substr(8), &qps) || qps <= 0.0)
+        if (!parseSpecNumber(part.substr(8), &qps) || qps <= 0.0)
             return failWith(error, spec,
                             "poisson rate must be a positive qps");
         cfg->arrival = ArrivalProcess::Poisson;
@@ -102,10 +77,10 @@ parseArrival(const std::string &part, const std::string &spec,
                             "burst needs both a qps and a factor");
         double qps = 0.0;
         double factor = 0.0;
-        if (!parseNumber(rest.substr(0, colon), &qps) || qps <= 0.0)
+        if (!parseSpecNumber(rest.substr(0, colon), &qps) || qps <= 0.0)
             return failWith(error, spec,
                             "burst rate must be a positive qps");
-        if (!parseNumber(rest.substr(colon + 1), &factor) ||
+        if (!parseSpecNumber(rest.substr(colon + 1), &factor) ||
             factor < 1.0)
             return failWith(error, spec,
                             "burst factor must be >= 1");
@@ -121,7 +96,7 @@ parseArrival(const std::string &part, const std::string &spec,
             return failWith(error, spec,
                             "diurnal needs a qps and an amplitude");
         double qps = 0.0;
-        if (!parseNumber(rest.substr(0, c1), &qps) || qps <= 0.0)
+        if (!parseSpecNumber(rest.substr(0, c1), &qps) || qps <= 0.0)
             return failWith(error, spec,
                             "diurnal rate must be a positive qps");
         const std::size_t c2 = rest.find(':', c1 + 1);
@@ -130,12 +105,12 @@ parseArrival(const std::string &part, const std::string &spec,
                 ? rest.substr(c1 + 1)
                 : rest.substr(c1 + 1, c2 - c1 - 1);
         double amp = 0.0;
-        if (!parseNumber(amp_text, &amp) || amp <= 0.0 || amp >= 1.0)
+        if (!parseSpecNumber(amp_text, &amp) || amp <= 0.0 || amp >= 1.0)
             return failWith(error, spec,
                             "diurnal amplitude must be in (0, 1)");
         double period_sec = WorkloadConfig{}.diurnalPeriodSec;
         if (c2 != std::string::npos &&
-            (!parseNumber(rest.substr(c2 + 1), &period_sec) ||
+            (!parseSpecNumber(rest.substr(c2 + 1), &period_sec) ||
              period_sec <= 0.0))
             return failWith(error, spec,
                             "diurnal period must be positive "
@@ -168,7 +143,7 @@ parseSloPart(const std::string &part, const std::string &spec,
         return failWith(error, spec,
                         "slo class name must be nonempty");
     double target_us = 0.0;
-    if (!parseNumber(rest.substr(colon + 1), &target_us) ||
+    if (!parseSpecNumber(rest.substr(colon + 1), &target_us) ||
         target_us <= 0.0)
         return failWith(error, spec,
                         "slo p99 target for class '" + cls.name +
@@ -259,7 +234,7 @@ workloadSpecName(const WorkloadConfig &cfg)
         name = "uniform";
         break;
       case IndexDistribution::Zipf:
-        name = "zipf:" + formatNumber(cfg.zipfSkew);
+        name = "zipf:" + formatSpecNumber(cfg.zipfSkew);
         break;
       case IndexDistribution::Trace:
         name = "trace:" + cfg.tracePath;
@@ -267,20 +242,20 @@ workloadSpecName(const WorkloadConfig &cfg)
     }
     if (cfg.arrivalRatePerSec > 0.0) {
         if (cfg.arrival == ArrivalProcess::Poisson) {
-            name += "@poisson:" + formatNumber(cfg.arrivalRatePerSec);
+            name += "@poisson:" + formatSpecNumber(cfg.arrivalRatePerSec);
         } else if (cfg.arrival == ArrivalProcess::Burst) {
-            name += "@burst:" + formatNumber(cfg.arrivalRatePerSec) +
-                    ":" + formatNumber(cfg.burstFactor);
+            name += "@burst:" + formatSpecNumber(cfg.arrivalRatePerSec) +
+                    ":" + formatSpecNumber(cfg.burstFactor);
         } else {
             name += "@diurnal:" +
-                    formatNumber(cfg.arrivalRatePerSec) + ":" +
-                    formatNumber(cfg.diurnalAmplitude) + ":" +
-                    formatNumber(cfg.diurnalPeriodSec);
+                    formatSpecNumber(cfg.arrivalRatePerSec) + ":" +
+                    formatSpecNumber(cfg.diurnalAmplitude) + ":" +
+                    formatSpecNumber(cfg.diurnalPeriodSec);
         }
     }
     for (const SloClass &cls : cfg.sloClasses)
         name += "/slo:" + cls.name + ":" +
-                formatNumber(cls.p99TargetUs);
+                formatSpecNumber(cls.p99TargetUs);
     return name;
 }
 

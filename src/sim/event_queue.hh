@@ -355,11 +355,9 @@ class ShardedEventQueue
 std::uint64_t globalSimEvents();
 
 /**
- * Credit @p n simulated events to the process-wide counter. The
- * serving engine's closed-form fast path (core/server.cc) executes
- * its scheduling rounds as a plain loop instead of queue events; it
- * books one simulated event per round here so sim_events stays a
- * pure function of the simulated work, identical to the event path.
+ * Credit @p n simulated events to the process-wide counter, for a
+ * model that executes events outside an EventQueue (sim_perf's
+ * legacy kernel replay) and must still count them in sim_events.
  */
 void addGlobalSimEvents(std::uint64_t n);
 

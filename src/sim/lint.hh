@@ -59,7 +59,8 @@
  *    re-boxes its closure into the queue's arena on every call.
  *    Hot paths that re-fire a long-lived round body pass a
  *    captureless trampoline plus a context pointer instead (see
- *    cluster/engine.cc's invokeNodeRound); src/sim/event_queue.* is
+ *    core/node_scheduler.cc's NodeScheduler::fire);
+ *    src/sim/event_queue.* is
  *    exempt because the kernel's boxing overload is the one
  *    sanctioned boxing site.
  *

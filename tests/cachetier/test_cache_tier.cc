@@ -107,6 +107,13 @@ TEST(CacheSpecGrammar, RejectsBadTokensByName)
 
     EXPECT_FALSE(tryParseCachePart("cache:64:lru:gst", &cfg, &err));
     EXPECT_NE(err.find("gst"), std::string::npos) << err;
+
+    // A non-finite budget would reach the tier's byte conversion.
+    for (const std::string number : {"nan", "inf", "-inf"}) {
+        EXPECT_FALSE(tryParseCachePart("cache:" + number, &cfg, &err));
+        EXPECT_NE(err.find("'" + number + "'"), std::string::npos)
+            << err;
+    }
 }
 
 TEST(CacheSpecGrammar, BackendSpecCarriesTheSuffix)

@@ -126,6 +126,24 @@ TEST(ClusterSpecParse, RejectionNamesTheBadToken)
     }
 }
 
+TEST(ClusterSpecParse, NonFiniteNetNumbersAreRejectedByName)
+{
+    for (const std::string prefix :
+         {"cluster:2x(cpu)/net:", "cluster:2x(cpu)/net:10:",
+          "cluster:2x(cpu)/net:10:2:"}) {
+        for (const std::string number : {"nan", "inf", "-inf"}) {
+            const std::string spec = prefix + number;
+            ClusterSpec out;
+            std::string error;
+            EXPECT_FALSE(tryParseClusterSpec(spec, &out, &error))
+                << spec;
+            EXPECT_NE(error.find("'" + number + "'"),
+                      std::string::npos)
+                << error;
+        }
+    }
+}
+
 TEST(ClusterSpecParse, PolicyNamesRoundTrip)
 {
     for (RoutePolicy p :

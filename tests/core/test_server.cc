@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the inference-serving simulation.
+ * Unit tests for the inference-serving simulation: one worker, no
+ * coalescing - the single-queue, single-server case.
  */
 
 #include <gtest/gtest.h>
@@ -22,21 +23,28 @@ smallModel()
     return cfg;
 }
 
-ServerConfig
+ServingConfig
 lightLoad()
 {
-    ServerConfig cfg;
+    ServingConfig cfg;
     cfg.arrivalRatePerSec = 200.0; // far below service capacity
     cfg.batchPerRequest = 2;
     cfg.requests = 60;
+    cfg.workers = 1;
+    cfg.maxCoalescedBatch = 1;
     return cfg;
+}
+
+ServingStats
+serve(System &sys, const ServingConfig &cfg)
+{
+    return ServingEngine({&sys}, cfg).run();
 }
 
 TEST(Server, ServesAllRequests)
 {
     auto sys = makeSystem("cpu+fpga", smallModel());
-    InferenceServer server(*sys, lightLoad());
-    const auto stats = server.run();
+    const auto stats = serve(*sys, lightLoad());
     EXPECT_EQ(stats.served, 60u);
     EXPECT_GT(stats.meanServiceUs, 0.0);
 }
@@ -44,8 +52,7 @@ TEST(Server, ServesAllRequests)
 TEST(Server, LightLoadHasNoQueueing)
 {
     auto sys = makeSystem("cpu+fpga", smallModel());
-    InferenceServer server(*sys, lightLoad());
-    const auto stats = server.run();
+    const auto stats = serve(*sys, lightLoad());
     EXPECT_LT(stats.meanQueueUs, stats.meanServiceUs * 0.2);
     EXPECT_LT(stats.utilization, 0.5);
     EXPECT_NEAR(stats.meanLatencyUs,
@@ -55,11 +62,10 @@ TEST(Server, LightLoadHasNoQueueing)
 TEST(Server, OverloadBuildsQueueAndSaturatesThroughput)
 {
     auto sys = makeSystem("cpu", smallModel());
-    ServerConfig cfg = lightLoad();
+    ServingConfig cfg = lightLoad();
     cfg.arrivalRatePerSec = 1e6; // absurd offered load
     cfg.requests = 80;
-    InferenceServer server(*sys, cfg);
-    const auto stats = server.run();
+    const auto stats = serve(*sys, cfg);
     EXPECT_GT(stats.meanQueueUs, stats.meanServiceUs);
     EXPECT_GT(stats.utilization, 0.95);
     EXPECT_LT(stats.throughputRps, stats.offeredRps);
@@ -72,11 +78,11 @@ TEST(Server, OverloadRegimeIsFullyCharacterized)
     // p99 must be a real measured value even though the latencies
     // blow past the histogram range.
     auto sys = makeSystem("cpu", smallModel());
-    ServerConfig cfg = lightLoad();
+    ServingConfig cfg = lightLoad();
     cfg.arrivalRatePerSec = 1e6;
     cfg.requests = 2000;
-    InferenceServer server(*sys, cfg, 500.0);
-    const auto stats = server.run();
+    cfg.slaTargetUs = 500.0;
+    const auto stats = serve(*sys, cfg);
 
     EXPECT_GT(stats.utilization, 0.99);
     EXPECT_GT(stats.meanQueueUs, 10.0 * stats.meanServiceUs);
@@ -94,31 +100,31 @@ TEST(Server, OverloadRegimeIsFullyCharacterized)
 TEST(Server, TailIsAtLeastMedian)
 {
     auto sys = makeSystem("cpu+fpga", smallModel());
-    ServerConfig cfg = lightLoad();
+    ServingConfig cfg = lightLoad();
     cfg.arrivalRatePerSec = 5000.0;
     cfg.requests = 150;
-    InferenceServer server(*sys, cfg);
-    const auto stats = server.run();
+    const auto stats = serve(*sys, cfg);
     EXPECT_GE(stats.p95Us, stats.p50Us);
     EXPECT_GE(stats.p99Us, stats.p95Us);
 }
 
 TEST(Server, SlaHitRateCountsCorrectly)
 {
+    ServingConfig strict = lightLoad();
+    strict.slaTargetUs = 0.001; // impossible
     auto sys = makeSystem("cpu+fpga", smallModel());
-    InferenceServer strict(*sys, lightLoad(), 0.001); // impossible
-    EXPECT_DOUBLE_EQ(strict.run().slaHitRate, 0.0);
+    EXPECT_DOUBLE_EQ(serve(*sys, strict).slaHitRate, 0.0);
 
+    ServingConfig loose = lightLoad();
+    loose.slaTargetUs = 1e9; // trivial
     auto sys2 = makeSystem("cpu+fpga", smallModel());
-    InferenceServer loose(*sys2, lightLoad(), 1e9); // trivial
-    EXPECT_DOUBLE_EQ(loose.run().slaHitRate, 1.0);
+    EXPECT_DOUBLE_EQ(serve(*sys2, loose).slaHitRate, 1.0);
 }
 
 TEST(Server, EnergyAccumulatesAcrossRequests)
 {
     auto sys = makeSystem("cpu+fpga", smallModel());
-    InferenceServer server(*sys, lightLoad());
-    const auto stats = server.run();
+    const auto stats = serve(*sys, lightLoad());
     EXPECT_GT(stats.energyJoules, 0.0);
 }
 
@@ -126,8 +132,8 @@ TEST(Server, DeterministicUnderSeed)
 {
     auto a = makeSystem("cpu+fpga", smallModel());
     auto b = makeSystem("cpu+fpga", smallModel());
-    const auto sa = InferenceServer(*a, lightLoad()).run();
-    const auto sb = InferenceServer(*b, lightLoad()).run();
+    const auto sa = serve(*a, lightLoad());
+    const auto sb = serve(*b, lightLoad());
     EXPECT_DOUBLE_EQ(sa.meanLatencyUs, sb.meanLatencyUs);
     EXPECT_DOUBLE_EQ(sa.p99Us, sb.p99Us);
 }
@@ -135,58 +141,26 @@ TEST(Server, DeterministicUnderSeed)
 TEST(Server, CentaurSustainsHigherLoadThanCpuOnly)
 {
     // The end-to-end speedup translates into serving headroom.
-    ServerConfig cfg = lightLoad();
+    ServingConfig cfg = lightLoad();
     cfg.arrivalRatePerSec = 8000.0;
     cfg.requests = 120;
     auto cpu = makeSystem("cpu", smallModel());
     auto cen = makeSystem("cpu+fpga", smallModel());
-    const auto sc = InferenceServer(*cpu, cfg).run();
-    const auto sf = InferenceServer(*cen, cfg).run();
+    const auto sc = serve(*cpu, cfg);
+    const auto sf = serve(*cen, cfg);
     EXPECT_LT(sf.p99Us, sc.p99Us);
     EXPECT_LT(sf.utilization, sc.utilization);
-}
-
-TEST(Server, FastPathMatchesEventPathOnEverySpec)
-{
-    // The closed-form fast path (core/server.cc) must be
-    // tick-identical to the event-driven reference: same stats, to
-    // the bit, on every registered backend spec. forceEventQueue
-    // pins the reference path for the B side of the comparison.
-    ServingConfig cfg;
-    cfg.arrivalRatePerSec = 20000.0; // some queueing, some idle
-    cfg.batchPerRequest = 4;
-    cfg.requests = 40;
-    cfg.workers = 2;
-    cfg.maxCoalescedBatch = 2;
-    for (const std::string &spec : registeredSpecs()) {
-        ServingConfig fast = cfg;
-        ServingConfig event = cfg;
-        event.forceEventQueue = true;
-        const ServingStats a =
-            runServingSim(spec, smallModel(), fast);
-        const ServingStats b =
-            runServingSim(spec, smallModel(), event);
-        EXPECT_EQ(a.served, b.served) << spec;
-        EXPECT_EQ(a.dispatches, b.dispatches) << spec;
-        EXPECT_DOUBLE_EQ(a.meanLatencyUs, b.meanLatencyUs) << spec;
-        EXPECT_DOUBLE_EQ(a.meanQueueUs, b.meanQueueUs) << spec;
-        EXPECT_DOUBLE_EQ(a.p99Us, b.p99Us) << spec;
-        EXPECT_DOUBLE_EQ(a.maxLatencyUs, b.maxLatencyUs) << spec;
-        EXPECT_DOUBLE_EQ(a.utilization, b.utilization) << spec;
-        EXPECT_DOUBLE_EQ(a.energyJoules, b.energyJoules) << spec;
-        EXPECT_DOUBLE_EQ(a.throughputRps, b.throughputRps) << spec;
-    }
 }
 
 TEST(ServerDeath, RejectsBadConfig)
 {
     auto sys = makeSystem("cpu+fpga", smallModel());
-    ServerConfig bad = lightLoad();
+    ServingConfig bad = lightLoad();
     bad.arrivalRatePerSec = 0.0;
-    EXPECT_DEATH(InferenceServer(*sys, bad), "arrival");
-    ServerConfig none = lightLoad();
+    EXPECT_DEATH(ServingEngine({sys.get()}, bad), "arrival");
+    ServingConfig none = lightLoad();
     none.requests = 0;
-    EXPECT_DEATH(InferenceServer(*sys, none), "request");
+    EXPECT_DEATH(ServingEngine({sys.get()}, none), "request");
 }
 
 } // namespace

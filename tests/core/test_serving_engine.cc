@@ -171,34 +171,6 @@ TEST(ServingEngine, AnalyzerClassifiesLoadRegimes)
     EXPECT_EQ(v_cold.regime, ServingRegime::Underutilized);
 }
 
-TEST(ServingEngine, MatchesLegacyServerOnSingleWorkerNoCoalescing)
-{
-    // The InferenceServer shim must be the engine's degenerate case.
-    ServerConfig legacy;
-    legacy.arrivalRatePerSec = 5000.0;
-    legacy.batchPerRequest = 2;
-    legacy.requests = 120;
-    legacy.seed = 3;
-
-    auto sys = makeSystem("cpu+fpga", smallModel());
-    const ServerStats via_shim =
-        InferenceServer(*sys, legacy).run();
-
-    ServingConfig cfg;
-    cfg.arrivalRatePerSec = legacy.arrivalRatePerSec;
-    cfg.batchPerRequest = legacy.batchPerRequest;
-    cfg.requests = legacy.requests;
-    cfg.seed = legacy.seed;
-    cfg.workers = 1;
-    cfg.maxCoalescedBatch = 1;
-    const ServingStats direct = runPoint(cfg);
-
-    EXPECT_EQ(via_shim.served, direct.served);
-    EXPECT_DOUBLE_EQ(via_shim.meanLatencyUs, direct.meanLatencyUs);
-    EXPECT_DOUBLE_EQ(via_shim.p99Us, direct.p99Us);
-    EXPECT_DOUBLE_EQ(via_shim.throughputRps, direct.throughputRps);
-}
-
 TEST(ServingEngineDeath, RejectsBadConfig)
 {
     ServingConfig cfg = overload();

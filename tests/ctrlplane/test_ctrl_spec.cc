@@ -88,6 +88,23 @@ TEST(CtrlSpec, MalformedPartsAreRejectedWithTheGrammar)
     }
 }
 
+TEST(CtrlSpec, NonFiniteNumbersAreRejectedByName)
+{
+    for (const std::string number : {"nan", "inf", "-inf"}) {
+        for (const std::string &part :
+             {"ctrl:adaptive:hedge:" + number,
+              "ctrl:adaptive:scale:" + number + "-0.8",
+              "ctrl:adaptive:scale:0.2-" + number}) {
+            CtrlConfig cfg;
+            std::string error;
+            EXPECT_FALSE(tryParseCtrlPart(part, &cfg, &error)) << part;
+            EXPECT_NE(error.find(number), std::string::npos) << error;
+            EXPECT_NE(error.find("grammar"), std::string::npos)
+                << error;
+        }
+    }
+}
+
 TEST(CtrlSpec, ExamplesAndGrammarAreConsistent)
 {
     EXPECT_NE(std::string(ctrlGrammar()).find("ctrl:"),

@@ -128,6 +128,30 @@ TEST(WorkloadSpec, MalformedSpecsAreRejectedWithAClearError)
     }
 }
 
+// strtod accepts "nan" and "inf"; no numeric field may. Each field
+// is tried with every non-finite spelling, and the error quotes the
+// spec like any other malformed one.
+TEST(WorkloadSpec, NonFiniteNumbersAreRejected)
+{
+    for (const std::string field :
+         {"zipf:#", "uniform@poisson:#", "uniform@burst:#:4",
+          "uniform@burst:8000:#", "uniform@diurnal:#:0.5",
+          "uniform@diurnal:8000:#", "uniform@diurnal:8000:0.5:#",
+          "uniform/slo:gold:#"}) {
+        for (const std::string number : {"nan", "inf", "-inf"}) {
+            std::string spec = field;
+            spec.replace(spec.find('#'), 1, number);
+            WorkloadConfig cfg;
+            std::string error;
+            EXPECT_FALSE(tryParseWorkloadSpec(spec, &cfg, &error))
+                << spec;
+            EXPECT_NE(error.find('\'' + spec + '\''),
+                      std::string::npos)
+                << error;
+        }
+    }
+}
+
 TEST(WorkloadSpecDeath, ParseWorkloadSpecIsFatalOnMalformedSpecs)
 {
     EXPECT_DEATH((void)parseWorkloadSpec("gaussian"),

@@ -719,8 +719,9 @@ def rule_event_capture(ctx, rel, toks, directives, pragmas):
     exact per-event copy the POD fn+ctx representation exists to
     avoid. Engines re-firing a long-lived round body must pass a
     captureless trampoline plus a context pointer (see
-    cluster/engine.cc's invokeNodeRound); passing a lambda directly
-    is fine because it boxes once at the call site by construction."""
+    core/node_scheduler.cc's NodeScheduler::fire); passing a lambda
+    directly is fine because it boxes once at the call site by
+    construction."""
     if rel in EVENT_CAPTURE_EXEMPT:
         return
     fn_vars = set()
