@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue scheduling, cache tag lookups (miss-heavy, hit-heavy and
- * the full L1/L2/LLC chain), DRAM bank timing, the Zipf sampler, the
+ * the full L1/L2/LLC chain), building and tearing down a hierarchy,
+ * DRAM bank timing, the Zipf sampler, the
  * EB-Streamer gather loop, the hot-row cache tier and the functional
  * forward pass. These
  * bound the wall-clock cost of the paper-reproduction sweeps.
@@ -145,6 +146,37 @@ BM_CacheHierarchyAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheHierarchyAccess);
+
+// What a sweep pays per system for its caches: build a Broadwell
+// hierarchy, touch some lines, destroy it. Tag stores come from a pool
+// (warmed before timing), so the build itself fills nothing and the
+// teardown resets only the sets touched: none, those of 4096 uniform
+// random lines, or one line in every LLC set, the worst case.
+void
+BM_CacheHierarchyLifecycle(benchmark::State &state, int lines,
+                           bool everyLlcSet)
+{
+    const HierarchyConfig cfg = broadwellHierarchyConfig();
+    const std::uint64_t llcSets = cfg.llc.sets();
+    {
+        CacheHierarchy warm(cfg);
+    }
+    Rng rng(42);
+    for (auto _ : state) {
+        CacheHierarchy hier(cfg);
+        if (everyLlcSet) {
+            for (std::uint64_t set = 0; set < llcSets; ++set)
+                hier.access(set * cfg.llc.lineBytes);
+        } else {
+            for (int i = 0; i < lines; ++i)
+                hier.access(rng.nextBelow(1 << 24) * cfg.llc.lineBytes);
+        }
+        benchmark::DoNotOptimize(hier.llc().misses());
+    }
+}
+BENCHMARK_CAPTURE(BM_CacheHierarchyLifecycle, untouched, 0, false);
+BENCHMARK_CAPTURE(BM_CacheHierarchyLifecycle, lines_4096, 4096, false);
+BENCHMARK_CAPTURE(BM_CacheHierarchyLifecycle, every_llc_set, 0, true);
 
 void
 BM_DramRandomAccess(benchmark::State &state)

@@ -37,6 +37,10 @@ roundUp(std::uint32_t n, std::uint32_t to)
  * Kept here, the memory held is the most stores ever live at once,
  * plus at most kMaxBytes of idle ones. Idle stores are poisoned under
  * AddressSanitizer, so a use after free still reports.
+ *
+ * Every store the pool hands out is clean, every byte 0xFF: a fresh
+ * one is filled here, and a cache resets the sets it dirtied before
+ * releasing its store (Cache::cleanDirtySets).
  */
 class StorePool
 {
@@ -60,7 +64,9 @@ class StorePool
                 }
             }
         }
-        return ::operator new(bytes, kAlign);
+        void *p = ::operator new(bytes, kAlign);
+        std::memset(p, 0xFF, bytes);
+        return p;
     }
 
     void
@@ -94,16 +100,10 @@ storePool()
 
 } // namespace
 
-void *
-Cache::acquireStore(std::size_t bytes)
-{
-    return storePool().acquire(bytes);
-}
-
 void
-Cache::releaseStore(void *p, std::size_t bytes)
+Cache::StoreRelease::operator()(std::uint32_t *store) const
 {
-    storePool().release(p, bytes);
+    storePool().release(store, bytes);
 }
 
 const CacheConfig &
@@ -130,10 +130,50 @@ Cache::Cache(const CacheConfig &cfg)
       _rankOffset(roundUp(cfg.ways, 4)),
       _setWords(roundUp(_rankOffset + roundUp(cfg.ways, 16) / 4, 16)),
       _lineDiv(cfg.lineBytes),
-      _setDiv(_sets), _hitLatency(ticksFromNs(cfg.hitLatencyNs))
+      _setDiv(_sets), _hitLatency(ticksFromNs(cfg.hitLatencyNs)),
+      _store(nullptr, StoreRelease{_sets * _setWords * sizeof(std::uint32_t)}),
+      _dirty((_sets + 63) / 64, 0)
 {
-    // Every byte 0xFF: every rank kInvalid, every set empty.
-    _store.assign(_sets * _setWords, 0xFFFFFFFF);
+    // Clean: every rank kInvalid, every set empty.
+    _store.reset(static_cast<std::uint32_t *>(
+        storePool().acquire(_store.get_deleter().bytes)));
+}
+
+Cache::~Cache()
+{
+    cleanDirtySets();
+}
+
+void
+Cache::cleanDirtySets()
+{
+    // Consecutive dirty sets are one span of the store: one memset per
+    // run, so a fully dirty store costs what one fill of it does.
+    const std::size_t setBytes = _setWords * sizeof(std::uint32_t);
+    unsigned char *const store =
+        reinterpret_cast<unsigned char *>(_store.get());
+    std::uint64_t begin = 0; // pending run of dirty sets [begin, end)
+    std::uint64_t end = 0;
+    for (std::size_t w = 0; w < _dirty.size(); ++w) {
+        std::uint64_t bits = _dirty[w];
+        _dirty[w] = 0;
+        while (bits) {
+            const unsigned lo = __builtin_ctzll(bits);
+            const std::uint64_t cleanAbove = ~(bits >> lo);
+            const unsigned len =
+                cleanAbove ? __builtin_ctzll(cleanAbove) : 64 - lo;
+            const std::uint64_t first = w * 64 + lo;
+            if (first != end) {
+                std::memset(store + begin * setBytes, 0xFF,
+                            (end - begin) * setBytes);
+                begin = first;
+            }
+            end = first + len;
+            bits = lo + len < 64 ? bits & (~std::uint64_t{0} << (lo + len))
+                                 : 0;
+        }
+    }
+    std::memset(store + begin * setBytes, 0xFF, (end - begin) * setBytes);
 }
 
 Cache::SetScan
@@ -211,6 +251,9 @@ Cache::install(const SetScan &s)
     CacheAccessResult res;
     res.hit = false;
     res.evictedValid = ranks[way] != kInvalid;
+    // The valid ways are a prefix: an invalid way 0 is an empty set.
+    if (!res.evictedValid && way == 0)
+        _dirty[s.set / 64] |= std::uint64_t{1} << (s.set % 64);
     res.evictedAddr =
         res.evictedValid ? (tags[way] * _sets + s.set) * _cfg.lineBytes : 0;
     tags[way] = s.tag;
@@ -251,8 +294,7 @@ Cache::fill(Addr addr)
 void
 Cache::flush()
 {
-    for (std::uint64_t set = 0; set < _sets; ++set)
-        std::memset(ranksOf(tagsOf(set)), kInvalid, _ways);
+    cleanDirtySets();
 }
 
 void

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,11 +78,27 @@ struct CacheAccessResult
  * order and only flush() empties them, so the valid ways of a set are
  * always a prefix. One branch-free scan finds both the hit and the
  * victim.
+ *
+ * Tag stores come from a pool in cache.cc and go back to it clean:
+ * every byte 0xFF, whatever geometry used the store last. A fresh
+ * store is filled once when it is allocated, and building a cache
+ * fills nothing. A bitmap marks each set that install() found empty;
+ * flush() and the destructor reset only those sets, so their cost is
+ * O(sets/64 + dirty sets). Tags of invalid ways are never read, so
+ * stale tags would be harmless; whole sets are reset because the pool
+ * matches stores by size, and two geometries of one size place their
+ * ranks at different offsets. A copy would share or duplicate a
+ * store behind the bitmap's back, so a Cache is neither copyable nor
+ * movable.
  */
 class Cache
 {
   public:
     explicit Cache(const CacheConfig &cfg);
+    ~Cache();
+
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
 
     /**
      * Access the line containing @p addr; allocate on miss.
@@ -98,7 +115,7 @@ class Cache
      */
     CacheAccessResult fill(Addr addr);
 
-    /** Invalidate everything. */
+    /** Invalidate everything: resets the sets in use since the last flush. */
     void flush();
 
     /** Reset statistics, keep contents. */
@@ -124,38 +141,15 @@ class Cache
     static constexpr std::uint8_t kInvalid = 0xFF;
 
     /**
-     * Allocates the tag store on host cache-line boundaries, through
-     * the store pool in cache.cc: a destroyed cache's store is kept
-     * for the next cache of the same size, up to a fixed total.
+     * Hands a tag store back to the pool in cache.cc, which keeps a
+     * destroyed cache's store for the next cache of the same size, up
+     * to a fixed total.
      */
-    template <typename T>
-    struct StoreAllocator
+    struct StoreRelease
     {
-        using value_type = T;
-
-        StoreAllocator() = default;
-        template <typename U>
-        StoreAllocator(const StoreAllocator<U> &)
-        {
-        }
-
-        T *
-        allocate(std::size_t n)
-        {
-            return static_cast<T *>(acquireStore(n * sizeof(T)));
-        }
-        void
-        deallocate(T *p, std::size_t n)
-        {
-            releaseStore(p, n * sizeof(T));
-        }
-
-        bool operator==(const StoreAllocator &) const { return true; }
-        bool operator!=(const StoreAllocator &) const { return false; }
+        std::size_t bytes;
+        void operator()(std::uint32_t *store) const;
     };
-
-    static void *acquireStore(std::size_t bytes);
-    static void releaseStore(void *p, std::size_t bytes);
 
     /** Where a line lives, and what one scan of its set found. */
     struct SetScan
@@ -171,16 +165,18 @@ class Cache
     SetScan scan(Addr addr) const;
     CacheAccessResult install(const SetScan &s);
     void promote(std::uint64_t set, std::uint32_t way);
+    /** Reset every dirty set to 0xFF bytes and clear the bitmap. */
+    void cleanDirtySets();
 
     const std::uint32_t *
     tagsOf(std::uint64_t set) const
     {
-        return _store.data() + set * _setWords;
+        return _store.get() + set * _setWords;
     }
     std::uint32_t *
     tagsOf(std::uint64_t set)
     {
-        return _store.data() + set * _setWords;
+        return _store.get() + set * _setWords;
     }
     const std::uint8_t *
     ranksOf(const std::uint32_t *tags) const
@@ -201,8 +197,13 @@ class Cache
     Divider _lineDiv;          //!< byte address -> line
     Divider _setDiv;           //!< line -> (tag, set)
     Tick _hitLatency;
-    /** _sets x _setWords words, each set starting a host cache line. */
-    std::vector<std::uint32_t, StoreAllocator<std::uint32_t>> _store;
+    /**
+     * _sets x _setWords words, each set starting a host cache line,
+     * from the pool and clean when acquired.
+     */
+    std::unique_ptr<std::uint32_t[], StoreRelease> _store;
+    /** One bit per set that may hold a byte other than 0xFF. */
+    std::vector<std::uint64_t> _dirty;
     Rng _rng{0xC0FFEE};
 
     std::uint64_t _accesses = 0;

@@ -1,6 +1,7 @@
 #include "sim/resource.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "sim/log.hh"
 
@@ -31,23 +32,37 @@ ResourceClock::acquire(Tick ready, Tick duration, std::uint32_t lanes)
         lane = g.end;
     } else {
         // Gang scheduling: the request starts once `want` lanes are
-        // simultaneously free. Pick the earliest-free lanes, lowest
-        // index first, so grants are platform-independent.
-        std::vector<std::uint32_t> order(_laneBusyUntil.size());
-        for (std::uint32_t i = 0; i < order.size(); ++i)
-            order[i] = i;
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::uint32_t a, std::uint32_t b) {
-                             return _laneBusyUntil[a] <
-                                    _laneBusyUntil[b];
-                         });
-        Tick start = ready;
-        for (std::uint32_t i = 0; i < want; ++i)
-            start = std::max(start, _laneBusyUntil[order[i]]);
-        g.start = start;
-        g.end = start + duration;
-        for (std::uint32_t i = 0; i < want; ++i)
-            _laneBusyUntil[order[i]] = g.end;
+        // simultaneously free. Take the earliest-free lanes, lowest
+        // index first among equals, so grants are platform-independent:
+        // every lane free before `cut`, the want-th smallest busy-until,
+        // and the lowest-index lanes free exactly at `cut`. Finding
+        // `cut` steps through the distinct busy-until values from the
+        // smallest up, so a grant allocates nothing.
+        Tick cut = busyUntil();
+        std::uint32_t below = 0; // lanes free strictly before cut
+        for (;;) {
+            const auto at = static_cast<std::uint32_t>(std::count(
+                _laneBusyUntil.begin(), _laneBusyUntil.end(), cut));
+            if (below + at >= want)
+                break;
+            below += at;
+            Tick next = std::numeric_limits<Tick>::max();
+            for (const Tick busy : _laneBusyUntil)
+                if (busy > cut)
+                    next = std::min(next, busy);
+            cut = next;
+        }
+        g.start = std::max(ready, cut);
+        g.end = g.start + duration;
+        std::uint32_t atCut = want - below;
+        for (Tick &busy : _laneBusyUntil) {
+            if (busy < cut) {
+                busy = g.end;
+            } else if (busy == cut && atCut > 0) {
+                busy = g.end;
+                --atCut;
+            }
+        }
     }
 
     ++_grants;

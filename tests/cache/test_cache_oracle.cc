@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
@@ -48,31 +50,35 @@ PrintTo(ReplacementPolicy p, std::ostream *os)
 
 namespace {
 
-using OracleCase = std::tuple<CacheConfig, ReplacementPolicy>;
-
-class CacheOracleTest : public ::testing::TestWithParam<OracleCase>
+/** Outcomes a stream must produce so agreement is not vacuous. */
+struct StreamCounts
 {
-};
-
-TEST_P(CacheOracleTest, MatchesStampModelCallForCall)
-{
-    CacheConfig cfg = std::get<0>(GetParam());
-    cfg.policy = std::get<1>(GetParam());
-    Cache fast(cfg);
-    naive::StampCache ref(cfg);
-
-    const std::uint64_t sets = cfg.sets();
-    // Concentrate on a few sets with ~3x ways tags each so sets fill,
-    // evict and re-hit quickly; one op in 16 goes anywhere, up to the
-    // largest 32-bit tag.
-    const std::uint64_t hot_sets = sets < 48 ? sets : 48;
-    const std::uint64_t hot_tags = 3 * cfg.ways;
-    Rng rng(0x5EED0000 + sets * 31 + cfg.ways +
-            static_cast<std::uint64_t>(cfg.policy));
-
     std::uint64_t hits = 0;
     std::uint64_t evictions = 0;
-    for (int op = 0; op < 120000; ++op) {
+};
+
+/**
+ * Drive @p fast and @p ref with @p ops calls of one seeded stream:
+ * ~3x ways tags on a few hot sets, so sets fill, evict and re-hit
+ * quickly, and one op in 16 anywhere, up to the largest 32-bit tag.
+ * @return a description of the first disagreement, or "" if none.
+ */
+std::string
+driveStream(Cache &fast, naive::StampCache &ref, const CacheConfig &cfg,
+            std::uint64_t seed, int ops, StreamCounts *counts = nullptr)
+{
+    const std::uint64_t sets = cfg.sets();
+    const std::uint64_t hot_sets = sets < 48 ? sets : 48;
+    const std::uint64_t hot_tags = 3 * cfg.ways;
+    Rng rng(seed);
+    StreamCounts seen;
+    auto differ = [](const CacheAccessResult &a,
+                     const CacheAccessResult &b) {
+        return a.hit != b.hit || a.evictedValid != b.evictedValid ||
+               a.evictedAddr != b.evictedAddr;
+    };
+
+    for (int op = 0; op < ops; ++op) {
         std::uint64_t set;
         std::uint64_t tag;
         if (rng.nextBelow(16) == 0) {
@@ -88,21 +94,18 @@ TEST_P(CacheOracleTest, MatchesStampModelCallForCall)
         const std::uint64_t kind = rng.nextBelow(1000);
         if (kind < 650) {
             const CacheAccessResult a = fast.access(addr);
-            const CacheAccessResult b = ref.access(addr);
-            ASSERT_EQ(a.hit, b.hit) << "access op " << op;
-            ASSERT_EQ(a.evictedValid, b.evictedValid) << "access op " << op;
-            ASSERT_EQ(a.evictedAddr, b.evictedAddr) << "access op " << op;
-            hits += a.hit;
-            evictions += a.evictedValid;
+            if (differ(a, ref.access(addr)))
+                return "access op " + std::to_string(op);
+            seen.hits += a.hit;
+            seen.evictions += a.evictedValid;
         } else if (kind < 900) {
             const CacheAccessResult a = fast.fill(addr);
-            const CacheAccessResult b = ref.fill(addr);
-            ASSERT_EQ(a.hit, b.hit) << "fill op " << op;
-            ASSERT_EQ(a.evictedValid, b.evictedValid) << "fill op " << op;
-            ASSERT_EQ(a.evictedAddr, b.evictedAddr) << "fill op " << op;
-            evictions += a.evictedValid;
+            if (differ(a, ref.fill(addr)))
+                return "fill op " + std::to_string(op);
+            seen.evictions += a.evictedValid;
         } else if (kind < 997) {
-            ASSERT_EQ(fast.probe(addr), ref.probe(addr)) << "probe op " << op;
+            if (fast.probe(addr) != ref.probe(addr))
+                return "probe op " + std::to_string(op);
         } else if (kind < 999) {
             fast.resetStats();
             ref.resetStats();
@@ -110,12 +113,38 @@ TEST_P(CacheOracleTest, MatchesStampModelCallForCall)
             fast.flush();
             ref.flush();
         }
-        ASSERT_EQ(fast.accesses(), ref.accesses()) << "op " << op;
-        ASSERT_EQ(fast.misses(), ref.misses()) << "op " << op;
+        if (fast.accesses() != ref.accesses() ||
+            fast.misses() != ref.misses())
+            return "counters after op " + std::to_string(op);
     }
+    if (counts)
+        *counts = seen;
+    return "";
+}
+
+using OracleCase = std::tuple<CacheConfig, ReplacementPolicy>;
+
+class CacheOracleTest : public ::testing::TestWithParam<OracleCase>
+{
+};
+
+TEST_P(CacheOracleTest, MatchesStampModelCallForCall)
+{
+    CacheConfig cfg = std::get<0>(GetParam());
+    cfg.policy = std::get<1>(GetParam());
+    Cache fast(cfg);
+    naive::StampCache ref(cfg);
+
+    StreamCounts counts;
+    const std::string mismatch = driveStream(
+        fast, ref, cfg,
+        0x5EED0000 + cfg.sets() * 31 + cfg.ways +
+            static_cast<std::uint64_t>(cfg.policy),
+        120000, &counts);
+    ASSERT_EQ(mismatch, "");
     // The stream must exercise both outcomes, not just agree on one.
-    EXPECT_GT(hits, 10000u);
-    EXPECT_GT(evictions, 10000u);
+    EXPECT_GT(counts.hits, 10000u);
+    EXPECT_GT(counts.evictions, 10000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -136,6 +165,131 @@ INSTANTIATE_TEST_SUITE_P(
         return std::get<0>(info.param).name + "_" +
                ::testing::PrintToString(std::get<1>(info.param));
     });
+
+// The pool hands a destroyed cache's tag store to the next cache of
+// the same size, and a cache resets only the sets it dirtied. A
+// rebuilt cache must still match a fresh stamp model call for call.
+
+using RecycleCase = std::tuple<std::uint32_t, ReplacementPolicy>;
+
+class CacheRecycledStoreTest : public ::testing::TestWithParam<RecycleCase>
+{
+};
+
+TEST_P(CacheRecycledStoreTest, RebuiltCacheMatchesStampModel)
+{
+    // About 2240 lines whatever the ways: 2240 sets of 1 way down to
+    // 8 sets of 254, so the widest sets still fill between flushes.
+    const std::uint32_t ways = std::get<0>(GetParam());
+    const ReplacementPolicy policy = std::get<1>(GetParam());
+    const std::uint64_t sets = 2240 / ways;
+    const CacheConfig cfg{"recycled", sets * ways * 64, ways, 64, 1.0,
+                          policy};
+    const std::uint64_t seed =
+        0xD1A70000 + ways * 3 + static_cast<std::uint64_t>(policy);
+    {
+        Cache used(cfg);
+        naive::StampCache ref(cfg);
+        ASSERT_EQ(driveStream(used, ref, cfg, seed, 20000), "");
+    }
+    Cache fast(cfg);
+    naive::StampCache ref(cfg);
+    StreamCounts counts;
+    ASSERT_EQ(driveStream(fast, ref, cfg, seed + 1, 40000, &counts), "");
+    EXPECT_GT(counts.hits, 0u);
+    EXPECT_GT(counts.evictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ways, CacheRecycledStoreTest,
+    ::testing::Combine(::testing::Values(1u, 3u, 8u, 12u, 20u, 254u),
+                       ::testing::Values(ReplacementPolicy::Lru,
+                                         ReplacementPolicy::Fifo,
+                                         ReplacementPolicy::Random)),
+    [](const ::testing::TestParamInfo<RecycleCase> &info) {
+        return std::to_string(std::get<0>(info.param)) + "way_" +
+               ::testing::PrintToString(std::get<1>(info.param));
+    });
+
+TEST(CacheRecycledStore, OtherGeometryOfTheSameSizeMatches)
+{
+    // 64 sets of 12 ways and 64 sets of 8 ways both use 64 B per set,
+    // so both stores are 4 KiB; the pool matches them by size. The
+    // 12-way sets keep ranks at byte 48 and tags of ways 8-11 at bytes
+    // 32-47, where the 8-way sets keep their ranks.
+    const CacheConfig wide{"twelve_way", 64 * 12 * 64, 12, 64, 1.0};
+    const CacheConfig narrow{"eight_way", 64 * 8 * 64, 8, 64, 1.0};
+    {
+        Cache used(wide);
+        naive::StampCache ref(wide);
+        ASSERT_EQ(driveStream(used, ref, wide, 12, 20000), "");
+    }
+    Cache fast(narrow);
+    naive::StampCache ref(narrow);
+    ASSERT_EQ(driveStream(fast, ref, narrow, 8, 40000), "");
+}
+
+TEST(CacheRecycledStore, FlushOfPartlyDirtyLlcMatches)
+{
+    // Dirty a run of sets that crosses bitmap words, scattered sets
+    // and the last set, then flush and go on: flush() resets only the
+    // dirty sets, and the rest of the store must already be clean.
+    const CacheConfig cfg = broadwellHierarchyConfig().llc;
+    const std::uint64_t sets = cfg.sets();
+    Cache fast(cfg);
+    naive::StampCache ref(cfg);
+    Rng rng(21);
+    std::vector<Addr> lines;
+    auto touch = [&](std::uint64_t set) {
+        const Addr addr =
+            (rng.nextBelow(64) * sets + set) * cfg.lineBytes;
+        lines.push_back(addr);
+        const CacheAccessResult a = fast.access(addr);
+        const CacheAccessResult b = ref.access(addr);
+        return a.hit == b.hit && a.evictedValid == b.evictedValid &&
+               a.evictedAddr == b.evictedAddr;
+    };
+    for (int pass = 0; pass < 2; ++pass) {
+        for (std::uint64_t set = 60; set < 200; ++set)
+            ASSERT_TRUE(touch(set)) << "set " << set;
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_TRUE(touch(rng.nextBelow(sets))) << "op " << i;
+        ASSERT_TRUE(touch(sets - 1));
+        fast.flush();
+        ref.flush();
+        for (const Addr addr : lines)
+            ASSERT_FALSE(fast.probe(addr) || ref.probe(addr))
+                << "line " << addr << " survived flush";
+    }
+    ASSERT_EQ(driveStream(fast, ref, cfg, 31, 40000), "");
+}
+
+TEST(CacheRecycledStore, BuildUseDestroyOnFourThreadsMatches)
+{
+    // Stores pass between threads through the pool: every cache built
+    // must match a fresh stamp model, whichever thread dirtied its
+    // store. One geometry, so every build can take any idle store.
+    const CacheConfig shared{"shared", 112 * 20 * 64, 20, 64, 1.0};
+    std::vector<std::string> mismatch(4);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([t, &shared, &mismatch] {
+            CacheConfig cfg = shared;
+            cfg.policy = static_cast<ReplacementPolicy>(t % 3);
+            for (int round = 0; round < 20 && mismatch[t].empty();
+                 ++round) {
+                Cache fast(cfg);
+                naive::StampCache ref(cfg);
+                mismatch[t] = driveStream(fast, ref, cfg,
+                                          std::uint64_t(t) * 1000 + round,
+                                          3000);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(mismatch, std::vector<std::string>(4));
+}
 
 TEST(CacheOracle, FullLlcUniformStreamMatches)
 {

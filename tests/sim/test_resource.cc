@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "sim/random.hh"
 #include "sim/resource.hh"
 
 namespace centaur {
@@ -125,6 +130,63 @@ TEST(ResourceClock, MeanWaitAndReset)
     EXPECT_EQ(clk.horizon(), 0u);
     EXPECT_EQ(clk.busyUntil(), 0u);
     EXPECT_DOUBLE_EQ(clk.meanWaitUs(), 0.0);
+}
+
+/**
+ * The gang rule as first written: stable-sort the lane indices by
+ * busy-until and take the first @p want. ResourceClock must pick the
+ * same lanes without the sort or its scratch vectors.
+ */
+ResourceClock::Grant
+sortedGangGrant(std::vector<Tick> &lanes, Tick ready, Tick duration,
+                std::uint32_t want)
+{
+    std::vector<std::uint32_t> order(lanes.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return lanes[a] < lanes[b];
+                     });
+    ResourceClock::Grant g;
+    g.ready = ready;
+    g.start = ready;
+    for (std::uint32_t i = 0; i < want; ++i)
+        g.start = std::max(g.start, lanes[order[i]]);
+    g.end = g.start + duration;
+    for (std::uint32_t i = 0; i < want; ++i)
+        lanes[order[i]] = g.end;
+    return g;
+}
+
+TEST(ResourceClock, GangGrantsMatchStableSortRule)
+{
+    // Ready times and durations on a coarse grid make equal busy-until
+    // values, and so index tie-breaks, common.
+    for (std::uint32_t lanes = 1; lanes <= 16; ++lanes) {
+        for (std::uint32_t want = 1; want <= lanes + 2; ++want) {
+            ResourceClock clk("pool", lanes);
+            std::vector<Tick> ref(lanes, 0);
+            Rng rng(lanes * 100 + want);
+            Tick now = 0;
+            for (int op = 0; op < 300; ++op) {
+                now += rng.nextBelow(3) * 10;
+                const Tick duration = rng.nextBelow(4) * 10;
+                // Mix in single-lane grants to scatter the lane state.
+                const std::uint32_t ask =
+                    rng.nextBelow(3) == 0 ? 1 : want;
+                const ResourceClock::Grant a =
+                    clk.acquire(now, duration, ask);
+                const ResourceClock::Grant b = sortedGangGrant(
+                    ref, now, duration, std::min(ask, lanes));
+                ASSERT_EQ(a.start, b.start)
+                    << lanes << " lanes, want " << ask << ", op " << op;
+                ASSERT_EQ(a.end, b.end);
+                ASSERT_EQ(clk.snapshot().laneBusyUntil, ref)
+                    << lanes << " lanes, want " << ask << ", op " << op;
+            }
+        }
+    }
 }
 
 TEST(ResourceClockDeath, RejectsZeroLanes)
