@@ -178,6 +178,26 @@ BENCHMARK_CAPTURE(BM_CacheHierarchyLifecycle, untouched, 0, false);
 BENCHMARK_CAPTURE(BM_CacheHierarchyLifecycle, lines_4096, 4096, false);
 BENCHMARK_CAPTURE(BM_CacheHierarchyLifecycle, every_llc_set, 0, true);
 
+// What a CPU-MLP system pays to deploy its weights cache-warm: build a
+// Broadwell hierarchy from a warm pool, warmRange Table I's smallest
+// or largest MLP weight set into it, destroy it.
+void
+BM_CacheHierarchyWarmRange(benchmark::State &state, double weightKiB)
+{
+    const HierarchyConfig cfg = broadwellHierarchyConfig();
+    const auto bytes = static_cast<std::uint64_t>(weightKiB * kKiB);
+    {
+        CacheHierarchy warm(cfg);
+    }
+    for (auto _ : state) {
+        CacheHierarchy hier(cfg);
+        hier.warmRange(Addr{1} << 30, bytes);
+        benchmark::DoNotOptimize(hier.llc().misses());
+    }
+}
+BENCHMARK_CAPTURE(BM_CacheHierarchyWarmRange, kib_57_4, 57.4);
+BENCHMARK_CAPTURE(BM_CacheHierarchyWarmRange, kib_568_5, 568.5);
+
 void
 BM_DramRandomAccess(benchmark::State &state)
 {

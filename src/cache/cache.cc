@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <mutex>
@@ -176,14 +177,20 @@ Cache::cleanDirtySets()
     std::memset(store + begin * setBytes, 0xFF, (end - begin) * setBytes);
 }
 
+void
+Cache::panicTagTooWide(Addr addr) const
+{
+    panic("cache '", _cfg.name, "': address ", addr,
+          " needs a tag wider than 32 bits");
+}
+
 Cache::SetScan
 Cache::scan(Addr addr) const
 {
     const std::uint64_t line = _lineDiv.quot(addr);
     const std::uint64_t tag = _setDiv.quot(line);
     if (tag > std::numeric_limits<std::uint32_t>::max())
-        panic("cache '", _cfg.name, "': address ", addr,
-              " needs a tag wider than 32 bits");
+        panicTagTooWide(addr);
     SetScan s;
     s.set = line - tag * _sets;
     s.tag = static_cast<std::uint32_t>(tag);
@@ -253,7 +260,7 @@ Cache::install(const SetScan &s)
     res.evictedValid = ranks[way] != kInvalid;
     // The valid ways are a prefix: an invalid way 0 is an empty set.
     if (!res.evictedValid && way == 0)
-        _dirty[s.set / 64] |= std::uint64_t{1} << (s.set % 64);
+        markDirty(s.set);
     res.evictedAddr =
         res.evictedValid ? (tags[way] * _sets + s.set) * _cfg.lineBytes : 0;
     tags[way] = s.tag;
@@ -289,6 +296,62 @@ Cache::fill(Addr addr)
     if (s.hitWay != _ways)
         return CacheAccessResult{true, false, 0};
     return install(s);
+}
+
+void
+Cache::fillRun(Addr addr, std::uint64_t lines)
+{
+    if (lines == 0)
+        return;
+    const std::uint64_t first = _lineDiv.quot(addr);
+    // Tags grow with the line, so the per-line loop panics exactly
+    // when the run reaches line `wide`, the first with a 33-bit tag.
+    // (_sets < 2^32: a store of 2^32 sets would not fit in memory.)
+    const std::uint64_t wide = _sets << 32;
+    if (first >= wide)
+        panicTagTooWide(addr);
+    if (lines > wide - first)
+        panicTagTooWide(wide * _cfg.lineBytes);
+
+    if (_cfg.policy == ReplacementPolicy::Random) {
+        // One victim stream for the whole cache: keep address order.
+        for (std::uint64_t k = 0; k < lines; ++k)
+            fill((first + k) * _cfg.lineBytes);
+        return;
+    }
+    // LRU and FIFO sets never interact, so the run can go set by set:
+    // run line j + i*_sets is the i-th of its set, with tag tag0 + i.
+    std::uint64_t tag0 = _setDiv.quot(first);
+    std::uint64_t set = first - tag0 * _sets;
+    const std::uint64_t touched = std::min(lines, _sets);
+    for (std::uint64_t j = 0; j < touched; ++j) {
+        const std::uint64_t count = (lines - 1 - j) / _sets + 1;
+        if (isDirty(set)) {
+            for (std::uint64_t i = 0; i < count; ++i)
+                fill((first + j + i * _sets) * _cfg.lineBytes);
+        } else {
+            // Clean: every way is invalid. Line i goes to way i while
+            // the set has room, and from then on evicts rank ways-1,
+            // line i - ways, in way i % ways. So only the last
+            // min(count, ways) lines remain, line i with rank
+            // count-1-i.
+            std::uint32_t *tags = tagsOf(set);
+            std::uint8_t *ranks = ranksOf(tags);
+            std::uint64_t i = count - std::min<std::uint64_t>(count, _ways);
+            std::uint32_t way = static_cast<std::uint32_t>(i % _ways);
+            for (; i < count; ++i) {
+                tags[way] = static_cast<std::uint32_t>(tag0 + i);
+                ranks[way] = static_cast<std::uint8_t>(count - 1 - i);
+                if (++way == _ways)
+                    way = 0;
+            }
+            markDirty(set);
+        }
+        if (++set == _sets) {
+            set = 0;
+            ++tag0;
+        }
+    }
 }
 
 void

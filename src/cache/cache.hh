@@ -82,14 +82,14 @@ struct CacheAccessResult
  * Tag stores come from a pool in cache.cc and go back to it clean:
  * every byte 0xFF, whatever geometry used the store last. A fresh
  * store is filled once when it is allocated, and building a cache
- * fills nothing. A bitmap marks each set that install() found empty;
- * flush() and the destructor reset only those sets, so their cost is
- * O(sets/64 + dirty sets). Tags of invalid ways are never read, so
- * stale tags would be harmless; whole sets are reset because the pool
- * matches stores by size, and two geometries of one size place their
- * ranks at different offsets. A copy would share or duplicate a
- * store behind the bitmap's back, so a Cache is neither copyable nor
- * movable.
+ * fills nothing. A bitmap marks each set that install() found empty
+ * or fillRun() wrote directly; flush() and the destructor reset only
+ * those sets, so their cost is O(sets/64 + dirty sets). Tags of
+ * invalid ways are never read, so stale tags would be harmless;
+ * whole sets are reset because the pool matches stores by size, and
+ * two geometries of one size place their ranks at different offsets.
+ * A copy would share or duplicate a store behind the bitmap's back,
+ * so a Cache is neither copyable nor movable.
  */
 class Cache
 {
@@ -114,6 +114,18 @@ class Cache
      * (fill from a lower level or prefetch).
      */
     CacheAccessResult fill(Addr addr);
+
+    /**
+     * fill() the @p lines consecutive lines from the one containing
+     * @p addr, in address order, with the same resulting state (and
+     * the same panic on a tag wider than 32 bits). Under LRU and FIFO
+     * a set that is still clean gets its final state directly: from
+     * an empty set, c lines of tags t, t+1, ... leave the last
+     * min(c, ways) resident, line k in way k % ways with rank c-1-k
+     * (Mattson et al.'s LRU stack property). Dirty sets, and every set
+     * under Random (one victim stream per cache), fill line by line.
+     */
+    void fillRun(Addr addr, std::uint64_t lines);
 
     /** Invalidate everything: resets the sets in use since the last flush. */
     void flush();
@@ -167,6 +179,18 @@ class Cache
     void promote(std::uint64_t set, std::uint32_t way);
     /** Reset every dirty set to 0xFF bytes and clear the bitmap. */
     void cleanDirtySets();
+    [[noreturn]] void panicTagTooWide(Addr addr) const;
+
+    bool
+    isDirty(std::uint64_t set) const
+    {
+        return (_dirty[set / 64] >> (set % 64)) & 1;
+    }
+    void
+    markDirty(std::uint64_t set)
+    {
+        _dirty[set / 64] |= std::uint64_t{1} << (set % 64);
+    }
 
     const std::uint32_t *
     tagsOf(std::uint64_t set) const

@@ -84,10 +84,12 @@ CacheHierarchy::warmRange(Addr addr, std::uint64_t bytes)
 {
     if (bytes == 0)
         return;
-    const Addr first = addr / _lineBytes;
-    const Addr last = (addr + bytes - 1) / _lineBytes;
-    for (Addr line = first; line <= last; ++line)
-        warm(line * _lineBytes);
+    const std::uint64_t lines =
+        (addr + bytes - 1) / _lineBytes - addr / _lineBytes + 1;
+    // A fill never reads another level, so warming one level after
+    // another leaves what warming one line after another does.
+    for (auto &level : _levels)
+        level->fillRun(addr, lines);
 }
 
 void

@@ -65,7 +65,10 @@ class CacheHierarchy
     /** Warm the line into all levels without counting an access. */
     void warm(Addr addr);
 
-    /** Warm a byte range into all levels. */
+    /**
+     * Warm a byte range into all levels: the state warm() of each of
+     * its lines in address order leaves, one Cache::fillRun per level.
+     */
     void warmRange(Addr addr, std::uint64_t bytes);
 
     void flush();

@@ -32,25 +32,26 @@ struct DramCoord
 };
 
 /**
- * Interleaves 64 B lines across channels, then splits the per-channel
- * line index into column / bank / row fields. Bank bits are XOR-folded
- * with low row bits so that large power-of-two strides (common when a
- * table's row pitch is a power of two) still spread across banks.
+ * Interleaves lines (64 B unless configured otherwise) across
+ * channels, then splits the per-channel line index into column / bank
+ * / row fields. Bank bits are XOR-folded with low row bits so that
+ * large power-of-two strides (common when a table's row pitch is a
+ * power of two) still spread across banks.
  */
 class AddressMap
 {
   public:
     AddressMap(std::uint32_t channels, std::uint32_t banks_per_channel,
-               std::uint32_t lines_per_row)
+               std::uint32_t lines_per_row, std::uint32_t line_bytes = 64)
         : _channels(channels), _banks(banks_per_channel),
-          _linesPerRow(lines_per_row)
+          _linesPerRow(lines_per_row), _lineBytes(line_bytes)
     {
     }
 
     DramCoord
     map(Addr addr) const
     {
-        const std::uint64_t line = addr / 64;
+        const std::uint64_t line = _lineBytes.quot(addr);
         const std::uint64_t chan_line = _channels.quot(line);
         const auto channel =
             static_cast<std::uint32_t>(_channels.rem(line ^ (line >> 7)));
@@ -78,11 +79,17 @@ class AddressMap
     {
         return static_cast<std::uint32_t>(_linesPerRow.divisor());
     }
+    std::uint32_t
+    lineBytes() const
+    {
+        return static_cast<std::uint32_t>(_lineBytes.divisor());
+    }
 
   private:
     Divider _channels;
     Divider _banks;
     Divider _linesPerRow;
+    Divider _lineBytes;
 };
 
 } // namespace centaur

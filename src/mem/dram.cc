@@ -2,11 +2,36 @@
 
 #include <algorithm>
 
+#include "sim/log.hh"
+
 namespace centaur {
 
+namespace {
+
+const DramConfig &
+validated(const DramConfig &cfg)
+{
+    if (cfg.channels == 0 || cfg.ranksPerChannel == 0 ||
+        cfg.banksPerRank == 0)
+        fatal("DramConfig.channels (", cfg.channels,
+              "), ranksPerChannel (", cfg.ranksPerChannel,
+              ") and banksPerRank (", cfg.banksPerRank,
+              ") must be positive");
+    if (cfg.lineBytes == 0)
+        fatal("DramConfig.lineBytes must be positive");
+    if (cfg.rowBytes == 0 || cfg.rowBytes % cfg.lineBytes != 0)
+        fatal("DramConfig.rowBytes (", cfg.rowBytes,
+              ") must be a positive multiple of DramConfig.lineBytes (",
+              cfg.lineBytes, ")");
+    return cfg;
+}
+
+} // namespace
+
 DramModel::DramModel(const DramConfig &cfg)
-    : _cfg(cfg),
-      _map(cfg.channels, cfg.banksPerChannel(), cfg.linesPerRow()),
+    : _cfg(validated(cfg)),
+      _map(cfg.channels, cfg.banksPerChannel(), cfg.linesPerRow(),
+           cfg.lineBytes),
       _banks(static_cast<std::size_t>(cfg.channels) *
              cfg.banksPerChannel()),
       _tRcd(ticksFromNs(cfg.tRcdNs)),

@@ -211,6 +211,101 @@ INSTANTIATE_TEST_SUITE_P(
                ::testing::PrintToString(std::get<1>(info.param));
     });
 
+// fillRun writes a clean LRU or FIFO set's final state directly and
+// fills every other set line by line. A cache warmed by one fillRun
+// must match the stamp model warmed by per-line fills, call for call.
+
+/**
+ * Fill every way of every set of @p fast and @p ref with lines of new
+ * tags: the evictions, in order, show each set's whole state.
+ * @return a description of the first disagreement, or "" if none.
+ */
+std::string
+drainSets(Cache &fast, naive::StampCache &ref, const CacheConfig &cfg)
+{
+    const std::uint64_t sets = cfg.sets();
+    for (std::uint64_t set = 0; set < sets; ++set) {
+        for (std::uint64_t way = 0; way < cfg.ways; ++way) {
+            const Addr addr =
+                ((0xFFFF0000u + way) * sets + set) * cfg.lineBytes;
+            const CacheAccessResult a = fast.fill(addr);
+            const CacheAccessResult b = ref.fill(addr);
+            if (a.hit != b.hit || a.evictedValid != b.evictedValid ||
+                a.evictedAddr != b.evictedAddr)
+                return "drain of set " + std::to_string(set) + " way " +
+                       std::to_string(way);
+        }
+    }
+    return "";
+}
+
+/** A fillRun: its first line and its length, in lines. */
+struct RunShape
+{
+    const char *name;
+    std::uint64_t first;
+    std::uint64_t lines;
+};
+
+using FillRunCase = std::tuple<std::uint32_t, ReplacementPolicy>;
+
+class CacheFillRunTest : public ::testing::TestWithParam<FillRunCase>
+{
+};
+
+TEST_P(CacheFillRunTest, MatchesPerLineFills)
+{
+    // The recycled-store geometry: about 2240 lines, 8 to 2240 sets.
+    const std::uint32_t ways = std::get<0>(GetParam());
+    const ReplacementPolicy policy = std::get<1>(GetParam());
+    const std::uint64_t sets = 2240 / ways;
+    const CacheConfig cfg{"fill_run", sets * ways * 64, ways, 64, 1.0,
+                          policy};
+    const RunShape shapes[] = {
+        {"shorter than sets", 5 * sets + sets / 4, sets / 2 + 1},
+        {"exactly sets", 2 * sets, sets},
+        {"three times sets", 0, 3 * sets + 5},
+        {"every set overflows", sets, (ways + 2) * sets + 5},
+        {"wraps past the last set", 8 * sets - sets / 3, sets + sets / 2},
+    };
+    std::uint64_t seed = 0xF1110000 + ways * 3 +
+                         static_cast<std::uint64_t>(policy) * 1000;
+    for (const RunShape &shape : shapes) {
+        for (const bool dirtied : {false, true}) {
+            SCOPED_TRACE(std::string(shape.name) +
+                         (dirtied ? ", dirtied first" : ", fresh"));
+            Cache fast(cfg);
+            naive::StampCache ref(cfg);
+            if (dirtied) {
+                ASSERT_EQ(driveStream(fast, ref, cfg, ++seed, 3000), "");
+            }
+            // 17 bytes into the first line: the run starts at its line.
+            fast.fillRun(shape.first * cfg.lineBytes + 17, shape.lines);
+            for (std::uint64_t k = 0; k < shape.lines; ++k)
+                ref.fill((shape.first + k) * cfg.lineBytes);
+            for (std::uint64_t k = 0; k < shape.lines; ++k) {
+                const Addr addr = (shape.first + k) * cfg.lineBytes;
+                ASSERT_EQ(fast.probe(addr), ref.probe(addr))
+                    << "run line " << k;
+            }
+            ASSERT_EQ(fast.accesses(), ref.accesses());
+            ASSERT_EQ(driveStream(fast, ref, cfg, ++seed, 3000), "");
+            ASSERT_EQ(drainSets(fast, ref, cfg), "");
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ways, CacheFillRunTest,
+    ::testing::Combine(::testing::Values(1u, 3u, 8u, 12u, 20u, 254u),
+                       ::testing::Values(ReplacementPolicy::Lru,
+                                         ReplacementPolicy::Fifo,
+                                         ReplacementPolicy::Random)),
+    [](const ::testing::TestParamInfo<FillRunCase> &info) {
+        return std::to_string(std::get<0>(info.param)) + "way_" +
+               ::testing::PrintToString(std::get<1>(info.param));
+    });
+
 TEST(CacheRecycledStore, OtherGeometryOfTheSameSizeMatches)
 {
     // 64 sets of 12 ways and 64 sets of 8 ways both use 64 B per set,
@@ -335,6 +430,18 @@ TEST(CacheOracleDeath, PanicsOnTagWiderThan32Bits)
     EXPECT_FALSE(c.access((Addr{1} << 44) - 1).hit);
     EXPECT_DEATH(c.access(Addr{1} << 44), "l1d.*32 bits");
     EXPECT_DEATH(c.fill(Addr{1} << 44), "l1d.*32 bits");
+}
+
+TEST(CacheOracleDeath, FillRunPanicsWhereThePerLineLoopWould)
+{
+    // The last three lines with 32-bit tags fill; one more line does
+    // not, whether the run starts below the limit or at it.
+    const CacheConfig l1 = broadwellHierarchyConfig().l1;
+    Cache c(l1);
+    c.fillRun((Addr{1} << 44) - 3 * 64, 3);
+    EXPECT_TRUE(c.probe((Addr{1} << 44) - 64));
+    EXPECT_DEATH(c.fillRun((Addr{1} << 44) - 3 * 64, 4), "l1d.*32 bits");
+    EXPECT_DEATH(c.fillRun(Addr{1} << 44, 1), "l1d.*32 bits");
 }
 
 } // namespace

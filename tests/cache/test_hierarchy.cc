@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
+#include "sim/random.hh"
 
 namespace centaur {
 namespace {
@@ -139,6 +140,32 @@ TEST(Hierarchy, WarmRangeCoversAllLines)
     h.warmRange(0, 64 * 16);
     for (Addr line = 0; line < 16; ++line)
         EXPECT_EQ(h.access(line * 64).level, HitLevel::L1);
+}
+
+TEST(Hierarchy, WarmRangeMatchesPerLineWarm)
+{
+    // warmRange fills one level after another; warm() fills one line
+    // after another. At Table I's smallest and largest MLP weight sets
+    // L1 and L2 sets overflow their ways and LLC sets do not.
+    const HierarchyConfig cfg = broadwellHierarchyConfig();
+    for (const std::uint64_t bytes :
+         {static_cast<std::uint64_t>(57.4 * kKiB),
+          static_cast<std::uint64_t>(568.5 * kKiB)}) {
+        SCOPED_TRACE(bytes);
+        const Addr base = (Addr{3} << 30) + 24;
+        CacheHierarchy ranged(cfg);
+        CacheHierarchy lined(cfg);
+        ranged.warmRange(base, bytes);
+        for (Addr line = base / 64; line <= (base + bytes - 1) / 64; ++line)
+            lined.warm(line * 64);
+        // The weights and as much again on either side.
+        Rng rng(bytes);
+        for (int op = 0; op < 200000; ++op) {
+            const Addr addr = base - bytes + rng.nextBelow(3 * bytes);
+            ASSERT_EQ(ranged.access(addr).level, lined.access(addr).level)
+                << "op " << op;
+        }
+    }
 }
 
 TEST(Hierarchy, AccessRangeReportsDeepestLevel)

@@ -92,9 +92,9 @@ TEST(AddressMap, DistinctLinesWithinRowGetDistinctColumns)
 /** The interleave spelled with hardware `/` and `%`. */
 DramCoord
 naiveMap(Addr addr, std::uint64_t channels, std::uint64_t banks,
-         std::uint64_t lines_per_row)
+         std::uint64_t lines_per_row, std::uint64_t line_bytes = 64)
 {
-    const std::uint64_t line = addr / 64;
+    const std::uint64_t line = addr / line_bytes;
     const std::uint64_t chan_line = line / channels;
     const std::uint64_t row_major = chan_line / lines_per_row;
     const std::uint64_t row = row_major / banks;
@@ -143,6 +143,23 @@ TEST(AddressMap, AccessorsReflectConstruction)
     EXPECT_EQ(map.channels(), 6u);
     EXPECT_EQ(map.banksPerChannel(), 48u);
     EXPECT_EQ(map.linesPerRow(), 256u);
+    EXPECT_EQ(map.lineBytes(), 64u);
+    EXPECT_EQ(AddressMap(6, 48, 256, 128).lineBytes(), 128u);
+}
+
+TEST(AddressMap, BothHalvesOf128ByteLineMapToOneCoordinate)
+{
+    // 8 KB rows of 128 B lines.
+    AddressMap map(4, 32, 64, 128);
+    Rng rng(3);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr base = rng.nextBelow(Addr{1} << 33) * 128;
+        const DramCoord lo = map.map(base);
+        ASSERT_TRUE(map.map(base + 64) == lo) << "line at " << base;
+        ASSERT_TRUE(map.map(base + 127) == lo) << "line at " << base;
+        ASSERT_TRUE(lo == naiveMap(base, 4, 32, 64, 128))
+            << "line at " << base;
+    }
 }
 
 } // namespace

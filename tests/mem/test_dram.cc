@@ -231,5 +231,45 @@ TEST(DramModel, RefreshDisabledHasNoWindows)
     EXPECT_LT(nsFromTicks(r.completion - issue), 100.0);
 }
 
+TEST(DramModel, AddressMapUsesTheConfiguredLineSize)
+{
+    DramConfig cfg;
+    cfg.lineBytes = 128;
+    DramModel dram(cfg);
+    EXPECT_EQ(dram.addressMap().lineBytes(), 128u);
+    EXPECT_EQ(dram.addressMap().linesPerRow(), 64u);
+}
+
+TEST(DramModelDeath, RejectsRowBytesNotAMultipleOfLineBytes)
+{
+    DramConfig cfg;
+    cfg.rowBytes = 8192 + 32;
+    EXPECT_EXIT(DramModel{cfg}, ::testing::ExitedWithCode(1),
+                "rowBytes.*multiple of DramConfig.lineBytes");
+    cfg.rowBytes = 32;
+    EXPECT_EXIT(DramModel{cfg}, ::testing::ExitedWithCode(1),
+                "rowBytes.*multiple of DramConfig.lineBytes");
+    cfg.rowBytes = 0;
+    EXPECT_EXIT(DramModel{cfg}, ::testing::ExitedWithCode(1),
+                "rowBytes.*positive");
+    cfg.rowBytes = 8192;
+    cfg.lineBytes = 0;
+    EXPECT_EXIT(DramModel{cfg}, ::testing::ExitedWithCode(1),
+                "lineBytes must be positive");
+}
+
+TEST(DramModelDeath, RejectsZeroChannelsRanksOrBanks)
+{
+    DramConfig noChannels;
+    noChannels.channels = 0;
+    DramConfig noRanks;
+    noRanks.ranksPerChannel = 0;
+    DramConfig noBanks;
+    noBanks.banksPerRank = 0;
+    for (const DramConfig &cfg : {noChannels, noRanks, noBanks})
+        EXPECT_EXIT(DramModel{cfg}, ::testing::ExitedWithCode(1),
+                    "channels.*ranksPerChannel.*banksPerRank.*positive");
+}
+
 } // namespace
 } // namespace centaur
