@@ -2,11 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue scheduling, cache tag lookups (miss-heavy, hit-heavy and
- * the full L1/L2/LLC chain), building and tearing down a hierarchy,
- * DRAM bank timing, the Zipf sampler, the
- * EB-Streamer gather loop, the hot-row cache tier and the functional
- * forward pass. These
- * bound the wall-clock cost of the paper-reproduction sweeps.
+ * the full L1/L2/LLC chain), the LLC's 16-bit tag store widening,
+ * building and tearing down a hierarchy, DRAM bank timing, the Zipf
+ * sampler, the EB-Streamer gather loop, the hot-row cache tier and the
+ * functional forward pass. These bound the wall-clock cost of the
+ * paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
@@ -133,6 +133,42 @@ BM_CacheResidentAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheResidentAccess);
+
+// The LLC's 16-bit tag store through its whole life: build it from a
+// warm pool, fillRun Table I's largest MLP weight set, fill the last
+// set, hit each of its lines and evict one, 4096 uniform accesses with
+// 16-bit tags, one access whose tag needs 17 bits (the store widens
+// to 32-bit tags), 4096 accesses more, destroy it. CI runs it under
+// the sanitizers too: the packed 16-bit vector steps end exactly at
+// each set's last way, so a stray load past the last set would show.
+void
+BM_CacheLlcNarrowThenWiden(benchmark::State &state)
+{
+    const CacheConfig cfg = broadwellHierarchyConfig().llc;
+    const std::uint64_t sets = cfg.sets();
+    const std::uint64_t narrowLines = sets << 16;
+    {
+        Cache warm(cfg);
+        warm.access(narrowLines * cfg.lineBytes);
+    }
+    Rng rng(42);
+    for (auto _ : state) {
+        Cache llc(cfg);
+        llc.fillRun(Addr{1} << 30,
+                    static_cast<std::uint64_t>(568.5 * kKiB) / cfg.lineBytes);
+        for (std::uint64_t k = 0; k <= 2 * cfg.ways; ++k) {
+            const std::uint64_t tag = k < 2 * cfg.ways ? k % cfg.ways : k;
+            llc.access((tag * sets + sets - 1) * cfg.lineBytes);
+        }
+        for (int i = 0; i < 4096; ++i)
+            llc.access(rng.nextBelow(narrowLines) * cfg.lineBytes);
+        llc.access(narrowLines * cfg.lineBytes);
+        for (int i = 0; i < 4096; ++i)
+            llc.access(rng.nextBelow(2 * narrowLines) * cfg.lineBytes);
+        benchmark::DoNotOptimize(llc.misses());
+    }
+}
+BENCHMARK(BM_CacheLlcNarrowThenWiden);
 
 // The full L1 -> L2 -> LLC chain on a 1 GiB uniform line stream, the
 // CPU gather's per-line cost before DRAM.

@@ -69,15 +69,26 @@ struct CacheAccessResult
  *   - else, for Random, way _rng.nextBelow(ways). The draw happens
  *     only when the set is full.
  *
- * Layout: each set is one 64-byte-aligned block of `ways` 32-bit tags
- * (padded to a multiple of 4) followed by `ways` one-byte recency
- * ranks (padded to a multiple of 16); a 20-way set is 128 B. A valid
- * way's rank is its position in the set's use order (LRU) or insertion
- * order (FIFO, Random): 0 = newest, ways-1 = the next victim. kInvalid
- * (0xFF) marks an empty way and every padding slot. Ways fill in index
- * order and only flush() empties them, so the valid ways of a set are
- * always a prefix. One branch-free scan finds both the hit and the
- * victim.
+ * Layout: each set is one 64-byte-aligned block of `ways` tags
+ * followed by `ways` one-byte recency ranks. A valid way's rank is its
+ * position in the set's use order (LRU) or insertion order (FIFO,
+ * Random): 0 = newest, ways-1 = the next victim. kInvalid (0xFF)
+ * marks an empty way and every padding slot. Ways fill in index order
+ * and only flush() empties them, so the valid ways of a set are always
+ * a prefix. One branch-free scan finds both the hit and the victim.
+ *
+ * Tags are 16 bits wide where that fits a set in one 64-byte host line
+ * and 32-bit tags would not (13 to 21 ways: the LLC), and 32 bits wide
+ * otherwise. The narrow layout packs 2*ways bytes of tags and then the
+ * ranks, unpadded: a 20-way set is 40 B of tags and 20 B of ranks in
+ * one 64 B block, where 32-bit tags need 128 B. The wide layout pads
+ * the tags to a multiple of 4 and the ranks to a multiple of 16. No
+ * vector step reads or writes a byte of another way or another set.
+ * The first access, fill or fillRun whose tag needs more than 16 bits
+ * widens a narrow cache, once and for good: every set is rewritten into
+ * the 32-bit layout with the same tags, ranks and dirty bits, in a
+ * store from the pool, and the narrow store goes back to it clean. A
+ * probe of such a tag misses and widens nothing.
  *
  * Tag stores come from a pool in cache.cc and go back to it clean:
  * every byte 0xFF, whatever geometry used the store last. A fresh
@@ -133,6 +144,9 @@ class Cache
     /** Reset statistics, keep contents. */
     void resetStats();
 
+    /** Bytes of the tag store: sets x the bytes of one set. */
+    std::size_t storeBytes() const { return _store.get_deleter().bytes; }
+
     const CacheConfig &config() const { return _cfg; }
     Tick hitLatency() const { return _hitLatency; }
 
@@ -160,7 +174,17 @@ class Cache
     struct StoreRelease
     {
         std::size_t bytes;
-        void operator()(std::uint32_t *store) const;
+        void operator()(std::uint8_t *store) const;
+    };
+
+    /** Where one tag width puts a set's tags and ranks. */
+    struct Layout
+    {
+        bool narrow;             //!< 16-bit tags, else 32-bit
+        std::uint32_t tagSlots;  //!< tags per set, padding included
+        std::uint32_t rankByte;  //!< offset of the ranks in the set
+        std::uint32_t rankSlots; //!< ranks per set, padding included
+        std::uint32_t setBytes;  //!< a multiple of 64
     };
 
     /** Where a line lives, and what one scan of its set found. */
@@ -172,11 +196,32 @@ class Cache
         std::uint32_t victim; //!< first invalid way, else rank ways-1
     };
 
-    static const CacheConfig &validated(const CacheConfig &cfg);
+    /** scan()'s accumulators for one vector width (cache.cc). */
+    template <typename Tag, unsigned Lanes> struct ScanLanes;
 
-    SetScan scan(Addr addr) const;
-    CacheAccessResult install(const SetScan &s);
-    void promote(std::uint64_t set, std::uint32_t way);
+    static const CacheConfig &validated(const CacheConfig &cfg);
+    static Layout layoutFor(std::uint32_t ways, bool narrow);
+    /** The narrow layout where it makes a set one 64 B block. */
+    static Layout initialLayout(std::uint32_t ways);
+
+    /** The set and tag of @p addr (no scan); panics past 32-bit tags. */
+    SetScan locate(Addr addr) const;
+    /** Whether @p tag goes in 16 bits; widens the store first if not. */
+    bool narrowFor(std::uint32_t tag);
+    /** Rewrite every set into the 32-bit layout, in a new store. */
+    void widen();
+    /** One pass over @p set: the way holding @p tag, and the victim. */
+    template <typename Tag>
+    SetScan scan(std::uint64_t set, std::uint32_t tag) const;
+    /** access() (@p counted) or fill() of a located line. */
+    template <typename Tag>
+    CacheAccessResult lookup(std::uint64_t set, std::uint32_t tag,
+                             bool counted);
+    template <typename Tag> CacheAccessResult install(const SetScan &s);
+    /** fillRun()'s @p count lines into the clean set @p set from tag0. */
+    template <typename Tag>
+    void writeRun(std::uint64_t set, std::uint64_t tag0, std::uint64_t count);
+    template <typename Tag> void promote(std::uint64_t set, std::uint32_t way);
     /** Reset every dirty set to 0xFF bytes and clear the bitmap. */
     void cleanDirtySets();
     [[noreturn]] void panicTagTooWide(Addr addr) const;
@@ -192,40 +237,29 @@ class Cache
         _dirty[set / 64] |= std::uint64_t{1} << (set % 64);
     }
 
-    const std::uint32_t *
-    tagsOf(std::uint64_t set) const
-    {
-        return _store.get() + set * _setWords;
-    }
-    std::uint32_t *
-    tagsOf(std::uint64_t set)
-    {
-        return _store.get() + set * _setWords;
-    }
     const std::uint8_t *
-    ranksOf(const std::uint32_t *tags) const
+    blockOf(std::uint64_t set) const
     {
-        return reinterpret_cast<const std::uint8_t *>(tags + _rankOffset);
+        return _store.get() + set * _layout.setBytes;
     }
     std::uint8_t *
-    ranksOf(std::uint32_t *tags) const
+    blockOf(std::uint64_t set)
     {
-        return reinterpret_cast<std::uint8_t *>(tags + _rankOffset);
+        return _store.get() + set * _layout.setBytes;
     }
 
     CacheConfig _cfg;
     std::uint64_t _sets;
     std::uint32_t _ways;
-    std::uint32_t _rankOffset; //!< tag words per set: ways, padded to 4
-    std::uint64_t _setWords;   //!< words per set, a multiple of 16
-    Divider _lineDiv;          //!< byte address -> line
-    Divider _setDiv;           //!< line -> (tag, set)
+    Layout _layout;
+    Divider _lineDiv; //!< byte address -> line
+    Divider _setDiv;  //!< line -> (tag, set)
     Tick _hitLatency;
     /**
-     * _sets x _setWords words, each set starting a host cache line,
-     * from the pool and clean when acquired.
+     * _sets x _layout.setBytes bytes, each set starting a host cache
+     * line, from the pool and clean when acquired.
      */
-    std::unique_ptr<std::uint32_t[], StoreRelease> _store;
+    std::unique_ptr<std::uint8_t[], StoreRelease> _store;
     /** One bit per set that may hold a byte other than 0xFF. */
     std::vector<std::uint64_t> _dirty;
     Rng _rng{0xC0FFEE};

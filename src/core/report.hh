@@ -78,11 +78,12 @@ constexpr int kReportSchemaVersion = 1;
  * field-for-field comparable. Serving-config echoes gain the
  * diurnal-arrival and SLO-class knobs.
  * v1.7 adds the simulator self-measurement suite (sim_perf):
- * per-cell records carry `requests_per_sec`, `sim_events_per_sec`,
- * `legacy_sim_events_per_sec`, `kernel_speedup`, `events_replayed`
- * and `speedup_floor`. All wall-derived rates are host time and
- * never byte-identity-comparable, like sim_wall_us; the CI gate
- * diffs them only loosely and asserts the floor_checks verdicts.
+ * per-cell records carry `sim_events` (the events the cell's engine
+ * executed, deterministic; the CI gate requires it to equal the
+ * baseline's), `requests_per_sec`, `sim_events_per_sec` and
+ * `events_replayed`. The wall-derived rates are host time and never
+ * byte-identity-comparable, like sim_wall_us; the CI gate diffs them
+ * only loosely.
  */
 constexpr int kReportSchemaMinorVersion = 7;
 

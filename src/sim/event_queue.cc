@@ -20,12 +20,6 @@ globalSimEvents()
     return global_sim_events.load(std::memory_order_relaxed);
 }
 
-void
-addGlobalSimEvents(std::uint64_t n)
-{
-    global_sim_events.fetch_add(n, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------
 // CallbackArena
 // ---------------------------------------------------------------------

@@ -354,13 +354,6 @@ class ShardedEventQueue
  */
 std::uint64_t globalSimEvents();
 
-/**
- * Credit @p n simulated events to the process-wide counter, for a
- * model that executes events outside an EventQueue (sim_perf's
- * legacy kernel replay) and must still count them in sim_events.
- */
-void addGlobalSimEvents(std::uint64_t n);
-
 } // namespace centaur
 
 #endif // CENTAUR_SIM_EVENT_QUEUE_HH

@@ -50,6 +50,9 @@ PrintTo(ReplacementPolicy p, std::ostream *os)
 
 namespace {
 
+/** Tags below this fit a 16-bit tag store; the next one widens it. */
+constexpr std::uint64_t kNarrowTags = std::uint64_t{1} << 16;
+
 /** Outcomes a stream must produce so agreement is not vacuous. */
 struct StreamCounts
 {
@@ -60,12 +63,14 @@ struct StreamCounts
 /**
  * Drive @p fast and @p ref with @p ops calls of one seeded stream:
  * ~3x ways tags on a few hot sets, so sets fill, evict and re-hit
- * quickly, and one op in 16 anywhere, up to the largest 32-bit tag.
+ * quickly, and one op in 16 anywhere, with a tag below @p tagLimit
+ * (by default up to the largest 32-bit tag).
  * @return a description of the first disagreement, or "" if none.
  */
 std::string
 driveStream(Cache &fast, naive::StampCache &ref, const CacheConfig &cfg,
-            std::uint64_t seed, int ops, StreamCounts *counts = nullptr)
+            std::uint64_t seed, int ops, StreamCounts *counts = nullptr,
+            std::uint64_t tagLimit = std::uint64_t{1} << 32)
 {
     const std::uint64_t sets = cfg.sets();
     const std::uint64_t hot_sets = sets < 48 ? sets : 48;
@@ -83,7 +88,7 @@ driveStream(Cache &fast, naive::StampCache &ref, const CacheConfig &cfg,
         std::uint64_t tag;
         if (rng.nextBelow(16) == 0) {
             set = rng.nextBelow(sets);
-            tag = rng.nextBelow(std::uint64_t{1} << 32);
+            tag = rng.nextBelow(tagLimit);
         } else {
             set = rng.nextBelow(hot_sets) * (sets / hot_sets);
             tag = rng.nextBelow(hot_tags);
@@ -134,13 +139,19 @@ TEST_P(CacheOracleTest, MatchesStampModelCallForCall)
     cfg.policy = std::get<1>(GetParam());
     Cache fast(cfg);
     naive::StampCache ref(cfg);
+    const std::uint64_t seed = 0x5EED0000 + cfg.sets() * 31 + cfg.ways +
+                               static_cast<std::uint64_t>(cfg.policy);
 
+    // 16-bit tags first, so a 16-bit tag store keeps its layout; then
+    // tags of any width, which widen it early on.
+    const std::size_t bytes = fast.storeBytes();
+    ASSERT_EQ(driveStream(fast, ref, cfg, ~seed, 40000, nullptr,
+                          kNarrowTags),
+              "");
+    ASSERT_EQ(fast.storeBytes(), bytes);
     StreamCounts counts;
-    const std::string mismatch = driveStream(
-        fast, ref, cfg,
-        0x5EED0000 + cfg.sets() * 31 + cfg.ways +
-            static_cast<std::uint64_t>(cfg.policy),
-        120000, &counts);
+    const std::string mismatch =
+        driveStream(fast, ref, cfg, seed, 120000, &counts);
     ASSERT_EQ(mismatch, "");
     // The stream must exercise both outcomes, not just agree on one.
     EXPECT_GT(counts.hits, 10000u);
@@ -155,7 +166,10 @@ INSTANTIATE_TEST_SUITE_P(
             CacheConfig{"two_way", 512, 2, 64, 1.0},
             // 64 sets x 8 ways (the L1D).
             CacheConfig{"eight_way", 32 * kKiB, 8, 64, 1.0},
-            // 7 * 2^4 = 112 sets x 20 ways: not a power of two.
+            // 112 sets x 16 ways: 16-bit tags, whole vector steps.
+            CacheConfig{"sixteen_way", 112 * 16 * 64, 16, 64, 1.0},
+            // 7 * 2^4 = 112 sets x 20 ways: not a power of two, and
+            // 16-bit tags end in a half step.
             CacheConfig{"twenty_way", 112 * 20 * 64, 20, 64, 1.0},
             // 28672 sets x 20 ways.
             broadwellHierarchyConfig().llc),
@@ -267,6 +281,8 @@ TEST_P(CacheFillRunTest, MatchesPerLineFills)
         {"three times sets", 0, 3 * sets + 5},
         {"every set overflows", sets, (ways + 2) * sets + 5},
         {"wraps past the last set", 8 * sets - sets / 3, sets + sets / 2},
+        {"crosses the 16-bit tag boundary",
+         (kNarrowTags - 2) * sets + sets / 2, 3 * sets},
     };
     std::uint64_t seed = 0xF1110000 + ways * 3 +
                          static_cast<std::uint64_t>(policy) * 1000;
@@ -277,7 +293,10 @@ TEST_P(CacheFillRunTest, MatchesPerLineFills)
             Cache fast(cfg);
             naive::StampCache ref(cfg);
             if (dirtied) {
-                ASSERT_EQ(driveStream(fast, ref, cfg, ++seed, 3000), "");
+                // 16-bit tags: a 16-bit tag store keeps its layout.
+                ASSERT_EQ(driveStream(fast, ref, cfg, ++seed, 3000, nullptr,
+                                      kNarrowTags),
+                          "");
             }
             // 17 bytes into the first line: the run starts at its line.
             fast.fillRun(shape.first * cfg.lineBytes + 17, shape.lines);
@@ -297,12 +316,118 @@ TEST_P(CacheFillRunTest, MatchesPerLineFills)
 
 INSTANTIATE_TEST_SUITE_P(
     Ways, CacheFillRunTest,
-    ::testing::Combine(::testing::Values(1u, 3u, 8u, 12u, 20u, 254u),
+    ::testing::Combine(::testing::Values(1u, 3u, 8u, 12u, 16u, 20u, 254u),
                        ::testing::Values(ReplacementPolicy::Lru,
                                          ReplacementPolicy::Fifo,
                                          ReplacementPolicy::Random)),
     [](const ::testing::TestParamInfo<FillRunCase> &info) {
         return std::to_string(std::get<0>(info.param)) + "way_" +
+               ::testing::PrintToString(std::get<1>(info.param));
+    });
+
+// A 16-bit tag store widens on the first line whose tag needs 17
+// bits. Every set must come through with its state, so the cache goes
+// on matching the stamp model call for call, and Random keeps its
+// victim stream.
+
+using WideningCase = std::tuple<CacheConfig, ReplacementPolicy>;
+
+class CacheWideningTest : public ::testing::TestWithParam<WideningCase>
+{
+};
+
+TEST_P(CacheWideningTest, CrossingTheSixteenBitBoundaryMatches)
+{
+    CacheConfig cfg = std::get<0>(GetParam());
+    cfg.policy = std::get<1>(GetParam());
+    const std::uint64_t sets = cfg.sets();
+    const std::uint64_t seed = 0x81DE0000 + cfg.ways * 3 +
+                               static_cast<std::uint64_t>(cfg.policy);
+    // A line with the smallest 17-bit tag: it widens the store.
+    const Addr wideLine = kNarrowTags * sets + sets / 3;
+
+    for (const char *how : {"access", "fill", "fillRun"}) {
+        SCOPED_TRACE(std::string("widened by ") + how);
+        Cache fast(cfg);
+        naive::StampCache ref(cfg);
+        ASSERT_EQ(fast.storeBytes(), sets * 64) << "one host line per set";
+
+        // Sets 3k hold ways + k % 5 lines (full, the oldest evicted),
+        // sets 3k + 1 hold ways / 2 (partly full), sets 3k + 2 none.
+        // Tags come from both ends of the 16-bit range, 0xFFFF
+        // included, and every other line is used twice.
+        Rng rng(seed);
+        std::vector<Addr> resident;
+        for (std::uint64_t set = 0; set < sets; ++set) {
+            const std::uint64_t lines =
+                set % 3 == 0 ? cfg.ways + (set / 3) % 5
+                             : (set % 3 == 1 ? cfg.ways / 2 : 0);
+            for (std::uint64_t k = 0; k < lines; ++k) {
+                const std::uint64_t tag =
+                    k % 2 ? kNarrowTags - k : rng.nextBelow(64) * 64 + k;
+                const Addr addr = (tag * sets + set) * cfg.lineBytes;
+                resident.push_back(addr);
+                for (int use = 0; use < 1 + static_cast<int>(k % 2); ++use) {
+                    const CacheAccessResult a = fast.access(addr);
+                    const CacheAccessResult b = ref.access(addr);
+                    ASSERT_EQ(a.hit, b.hit) << "set " << set;
+                    ASSERT_EQ(a.evictedValid, b.evictedValid);
+                    ASSERT_EQ(a.evictedAddr, b.evictedAddr);
+                }
+            }
+        }
+        // A probe whose tag needs 17 bits misses, even where its low
+        // 16 bits match a resident tag, and does not widen the store.
+        for (const Addr line : resident) {
+            const Addr alias = line + kNarrowTags * sets * cfg.lineBytes;
+            ASSERT_FALSE(fast.probe(alias)) << "line " << line;
+        }
+        ASSERT_EQ(fast.storeBytes(), sets * 64);
+
+        const Addr addr = wideLine * cfg.lineBytes;
+        if (std::string(how) == "fillRun") {
+            // Lines below and above the boundary, in one run.
+            const std::uint64_t first = wideLine - sets / 2;
+            fast.fillRun(first * cfg.lineBytes, sets);
+            for (std::uint64_t k = 0; k < sets; ++k)
+                ref.fill((first + k) * cfg.lineBytes);
+        } else {
+            const bool isAccess = std::string(how) == "access";
+            const CacheAccessResult a =
+                isAccess ? fast.access(addr) : fast.fill(addr);
+            const CacheAccessResult b =
+                isAccess ? ref.access(addr) : ref.fill(addr);
+            ASSERT_FALSE(a.hit || b.hit);
+            ASSERT_EQ(a.evictedValid, b.evictedValid);
+            ASSERT_EQ(a.evictedAddr, b.evictedAddr);
+        }
+        ASSERT_GT(fast.storeBytes(), sets * 64) << "did not widen";
+        EXPECT_TRUE(fast.probe(addr));
+        for (const Addr line : resident)
+            ASSERT_EQ(fast.probe(line), ref.probe(line)) << "line " << line;
+        ASSERT_EQ(fast.accesses(), ref.accesses());
+        ASSERT_EQ(fast.misses(), ref.misses());
+        ASSERT_EQ(driveStream(fast, ref, cfg, seed + 1, 20000), "");
+        ASSERT_EQ(drainSets(fast, ref, cfg), "");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheWideningTest,
+    ::testing::Combine(
+        ::testing::Values(
+            // 16-bit tags from 13 to 21 ways: one, two or three whole
+            // vector steps, a half step, and one to three single ways.
+            CacheConfig{"thirteen_way", 112 * 13 * 64, 13, 64, 1.0},
+            CacheConfig{"fifteen_way", 112 * 15 * 64, 15, 64, 1.0},
+            CacheConfig{"sixteen_way", 112 * 16 * 64, 16, 64, 1.0},
+            CacheConfig{"twenty_way", 112 * 20 * 64, 20, 64, 1.0},
+            CacheConfig{"twenty_one_way", 112 * 21 * 64, 21, 64, 1.0},
+            broadwellHierarchyConfig().llc),
+        ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
+                          ReplacementPolicy::Random)),
+    [](const ::testing::TestParamInfo<WideningCase> &info) {
+        return std::get<0>(info.param).name + "_" +
                ::testing::PrintToString(std::get<1>(info.param));
     });
 
@@ -322,6 +447,38 @@ TEST(CacheRecycledStore, OtherGeometryOfTheSameSizeMatches)
     Cache fast(narrow);
     naive::StampCache ref(narrow);
     ASSERT_EQ(driveStream(fast, ref, narrow, 8, 40000), "");
+}
+
+TEST(CacheRecycledStore, NarrowAndWideStoresOfOneSizeStartEmpty)
+{
+    // 112 sets of 20 ways with 16-bit tags and 112 sets of 8 ways with
+    // 32-bit tags both take 64 B per set, so the pool matches their
+    // 7 KiB stores. The 20-way sets keep tags of ways 16-19 at bytes
+    // 32-39, where the 8-way sets keep their ranks, and ranks at
+    // bytes 40-59, where the 8-way sets keep rank padding.
+    const CacheConfig narrow{"narrow", 112 * 20 * 64, 20, 64, 1.0};
+    const CacheConfig wide{"wide", 112 * 8 * 64, 8, 64, 1.0};
+    const CacheConfig order[][2] = {{narrow, wide}, {wide, narrow}};
+    std::uint64_t seed = 0x5A3E0000;
+    for (const auto &pair : order) {
+        const CacheConfig &before = pair[0];
+        const CacheConfig &after = pair[1];
+        SCOPED_TRACE(before.name + " store reused by " + after.name);
+        {
+            Cache used(before);
+            naive::StampCache ref(before);
+            ASSERT_EQ(driveStream(used, ref, before, ++seed, 20000, nullptr,
+                                  kNarrowTags),
+                      "");
+            ASSERT_EQ(used.storeBytes(), 112u * 64);
+        }
+        Cache fast(after);
+        naive::StampCache ref(after);
+        ASSERT_EQ(fast.storeBytes(), 112u * 64);
+        // Filling every way of every set evicts nothing, in both.
+        ASSERT_EQ(drainSets(fast, ref, after), "");
+        ASSERT_EQ(driveStream(fast, ref, after, ++seed, 20000), "");
+    }
 }
 
 TEST(CacheRecycledStore, FlushOfPartlyDirtyLlcMatches)
@@ -422,26 +579,58 @@ TEST(CacheOracle, Accepts254Ways)
     EXPECT_EQ(r.evictedAddr, 0u);
 }
 
+/** The first address whose line needs a 33-bit tag in @p cfg. */
+Addr
+firstTooWideAddr(const CacheConfig &cfg)
+{
+    return (cfg.sets() << 32) * cfg.lineBytes;
+}
+
+void
+expectPanicsOnTagWiderThan32Bits(const CacheConfig &cfg)
+{
+    const Addr limit = firstTooWideAddr(cfg);
+    const std::string message = cfg.name + ".*32 bits";
+    Cache c(cfg);
+    EXPECT_DEATH(c.access(limit), message);
+    // A 16-bit tag store widens here; the limit stays where it was.
+    EXPECT_FALSE(c.access(limit - 1).hit);
+    EXPECT_DEATH(c.access(limit), message);
+    EXPECT_DEATH(c.fill(limit), message);
+}
+
 TEST(CacheOracleDeath, PanicsOnTagWiderThan32Bits)
 {
     // L1D: 64 sets of 64 B lines, so the tag is addr >> 12.
-    const CacheConfig l1 = broadwellHierarchyConfig().l1;
-    Cache c(l1);
-    EXPECT_FALSE(c.access((Addr{1} << 44) - 1).hit);
-    EXPECT_DEATH(c.access(Addr{1} << 44), "l1d.*32 bits");
-    EXPECT_DEATH(c.fill(Addr{1} << 44), "l1d.*32 bits");
+    ASSERT_EQ(firstTooWideAddr(broadwellHierarchyConfig().l1),
+              Addr{1} << 44);
+    expectPanicsOnTagWiderThan32Bits(broadwellHierarchyConfig().l1);
+    // The LLC: 20 ways, 16-bit tags until the first wider one.
+    expectPanicsOnTagWiderThan32Bits(broadwellHierarchyConfig().llc);
+}
+
+void
+expectFillRunPanicsWhereThePerLineLoopWould(const CacheConfig &cfg)
+{
+    // The last three lines with 32-bit tags fill; one more line does
+    // not, whether the run starts below the limit or at it.
+    const Addr limit = firstTooWideAddr(cfg);
+    const std::string message = cfg.name + ".*32 bits";
+    const Addr line = cfg.lineBytes;
+    Cache c(cfg);
+    EXPECT_DEATH(c.fillRun(limit - 3 * line, 4), message);
+    c.fillRun(limit - 3 * line, 3);
+    EXPECT_TRUE(c.probe(limit - line));
+    EXPECT_DEATH(c.fillRun(limit - 3 * line, 4), message);
+    EXPECT_DEATH(c.fillRun(limit, 1), message);
 }
 
 TEST(CacheOracleDeath, FillRunPanicsWhereThePerLineLoopWould)
 {
-    // The last three lines with 32-bit tags fill; one more line does
-    // not, whether the run starts below the limit or at it.
-    const CacheConfig l1 = broadwellHierarchyConfig().l1;
-    Cache c(l1);
-    c.fillRun((Addr{1} << 44) - 3 * 64, 3);
-    EXPECT_TRUE(c.probe((Addr{1} << 44) - 64));
-    EXPECT_DEATH(c.fillRun((Addr{1} << 44) - 3 * 64, 4), "l1d.*32 bits");
-    EXPECT_DEATH(c.fillRun(Addr{1} << 44, 1), "l1d.*32 bits");
+    expectFillRunPanicsWhereThePerLineLoopWould(
+        broadwellHierarchyConfig().l1);
+    expectFillRunPanicsWhereThePerLineLoopWould(
+        broadwellHierarchyConfig().llc);
 }
 
 } // namespace

@@ -20,6 +20,24 @@ TEST(Hierarchy, BroadwellGeometryMatchesTheEvaluationCpu)
     EXPECT_EQ(cfg.llc.ways, 20u);
 }
 
+TEST(Hierarchy, LlcTagStoreTakesOneHostLinePerSet)
+{
+    // 28672 LLC sets of 20 ways: 16-bit tags fit a set in 64 B, where
+    // 32-bit tags take 128 B. The 8-way L1 and L2 keep 32-bit tags in
+    // 64 B per set. A tag over 16 bits widens the LLC to 128 B per set.
+    CacheHierarchy h(broadwellHierarchyConfig());
+    EXPECT_EQ(h.llc().storeBytes(), 1835008u);
+    EXPECT_EQ(h.l1().storeBytes(), 64u * 64);
+    EXPECT_EQ(h.l2().storeBytes(), 512u * 64);
+    const Addr firstWideTag = (Addr{28672} << 16) * 64;
+    h.access(firstWideTag - 64);
+    EXPECT_EQ(h.llc().storeBytes(), 1835008u);
+    h.access(firstWideTag);
+    EXPECT_EQ(h.llc().storeBytes(), 3670016u);
+    EXPECT_EQ(h.l1().storeBytes(), 64u * 64);
+    EXPECT_EQ(h.l2().storeBytes(), 512u * 64);
+}
+
 TEST(Hierarchy, ColdAccessGoesToMemory)
 {
     CacheHierarchy h(broadwellHierarchyConfig());
