@@ -4,15 +4,16 @@
  * event queue scheduling, cache tag lookups (miss-heavy, hit-heavy and
  * the full L1/L2/LLC chain), the LLC's 16-bit tag store widening,
  * building and tearing down a hierarchy, DRAM bank timing, the Zipf
- * sampler, the EB-Streamer gather loop, the hot-row cache tier and the
- * functional forward pass. These bound the wall-clock cost of the
- * paper-reproduction sweeps.
+ * sampler, the EB-Streamer gather loop, the hot-row cache tier, the
+ * functional forward pass and building a serving fleet. These bound
+ * the wall-clock cost of the paper-reproduction sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "cache/hierarchy.hh"
 #include "cachetier/cache_tier.hh"
+#include "core/server.hh"
 #include "dlrm/model_registry.hh"
 #include "dlrm/reference_model.hh"
 #include "dlrm/workload.hh"
@@ -381,21 +382,43 @@ BENCHMARK_CAPTURE(BM_ReferenceModelForward, rm_wide, "rm-wide");
 BENCHMARK_CAPTURE(BM_ReferenceModelForward, dlrm4, "dlrm4");
 BENCHMARK_CAPTURE(BM_ReferenceModelForward, rm_small, "rm-small");
 
-// rm-wide's bottom stack (13->1024->512->32) over its shared parameter
-// block. Four samples share each pass over the weights, so the
-// per-sample cost falls as the batch grows.
+// An MLP stack over its shared parameter block: rm-wide's bottom
+// stack (13->1024->512->32) and a top stack of 1307->42->12->1, whose
+// narrow layers run the kernel's padded panels. Every sample of a
+// batch shares each pass over a weight panel, so the per-sample cost
+// falls as the batch grows.
 void
-BM_MlpForwardBatch(benchmark::State &state)
+BM_MlpForwardBatch(benchmark::State &state,
+                   std::vector<std::uint32_t> dims)
 {
     const auto batch = static_cast<std::uint32_t>(state.range(0));
-    const Mlp mlp(1, parseModel("rm-wide").bottomLayerDims());
+    const Mlp mlp(1, std::move(dims));
     const std::vector<float> in(
         static_cast<std::size_t>(batch) * mlp.inputDim(), 0.5f);
     for (auto _ : state)
         benchmark::DoNotOptimize(mlp.forwardBatch(in.data(), batch));
     state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_MlpForwardBatch)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_MlpForwardBatch, rm_wide_bottom,
+                  parseModel("rm-wide").bottomLayerDims())
+    ->Arg(1)->Arg(4)->Arg(8)->Arg(64);
+BENCHMARK_CAPTURE(BM_MlpForwardBatch, top_1307,
+                  std::vector<std::uint32_t>{1307, 42, 12, 1})
+    ->Arg(1)->Arg(4)->Arg(8);
+
+// Four rm-wide GPU workers, construction only: the systems
+// bench/perf's serve_gpu_dense builds per rep and times as setup_s.
+void
+BM_MakeWorkersGpu(benchmark::State &state)
+{
+    const DlrmConfig model = parseModel("rm-wide");
+    ServingConfig cfg;
+    cfg.workers = 4;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(makeWorkers("gpu", model, cfg));
+    state.SetItemsProcessed(state.iterations() * cfg.workers);
+}
+BENCHMARK(BM_MakeWorkersGpu);
 
 } // namespace
 

@@ -134,26 +134,22 @@ std::vector<std::unique_ptr<System>>
 makeWorkers(const std::string &default_spec, const DlrmConfig &model,
             const ServingConfig &cfg, Fabric *fabric, CacheTier *cache)
 {
-    auto build = [&](const std::string &spec) {
-        return SystemBuilder()
-            .spec(spec)
-            .model(model)
-            .fabric(fabric)
-            .cacheTier(cache)
-            .build();
-    };
+    SystemBuilder builder;
+    builder.model(model).fabric(fabric).cacheTier(cache);
     std::vector<std::unique_ptr<System>> out;
     if (!cfg.workerSpecs.empty()) {
         out.reserve(cfg.workerSpecs.size());
         for (const std::string &spec : cfg.workerSpecs)
-            out.push_back(build(spec));
+            out.push_back(builder.spec(spec).build());
         return out;
     }
     if (cfg.workers == 0)
         fatal("serving engine needs at least one worker");
+    // Every worker shares one parsed spec and one builder.
+    builder.spec(default_spec);
     out.reserve(cfg.workers);
     for (std::uint32_t i = 0; i < cfg.workers; ++i)
-        out.push_back(build(default_spec));
+        out.push_back(builder.build());
     return out;
 }
 

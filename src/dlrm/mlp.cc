@@ -1,23 +1,29 @@
 #include "dlrm/mlp.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "dlrm/embedding_table.hh"
+#include "dlrm/mlp_kernel.hh"
 #include "sim/log.hh"
 
 namespace centaur {
 
 namespace {
 
-// GCC/Clang vector extensions: plain SSE2 on x86-64, no -march needed.
-// A comparison yields all-ones (true) or zero lanes.
-typedef float F32x4 __attribute__((vector_size(16)));
-typedef std::int32_t I32x4 __attribute__((vector_size(16)));
-
+using mlp_kernel::kPanel;
 using Params = std::shared_ptr<const std::vector<float>>;
+
+// GCC/Clang vector extensions. F32x8 is only ever used inside a
+// function compiled for AVX2.
+typedef float F32x4 __attribute__((vector_size(16)));
+typedef float F32x8 __attribute__((vector_size(32)));
 
 // Xavier-ish scale so activations neither vanish nor blow up.
 float
@@ -27,29 +33,47 @@ weightScale(std::uint32_t in_dim)
 }
 
 /**
- * The parameter block of @p mlp: per layer, out x in weights
- * row-major, then out biases. Weights hoist the (layer, out) prefix of
- * weight()'s hash chain; the values are the same bits.
+ * The packed parameter block of @p mlp (see mlp_kernel.hh). Weights
+ * hoist the (layer, out) prefix of weight()'s hash chain; the values
+ * are the same bits. Padding lanes stay zero.
  */
 std::vector<float>
 synthesize(const Mlp &mlp, std::uint64_t id)
 {
-    std::vector<float> block;
-    block.reserve(mlp.paramCount());
     const std::vector<std::uint32_t> &dims = mlp.dims();
+    std::vector<float> block(mlp_kernel::blockFloats(dims));
+    float *w = block.data();
     for (std::size_t layer = 0; layer + 1 < dims.size(); ++layer) {
+        const std::size_t in_dim = dims[layer];
+        const std::uint32_t out_dim = dims[layer + 1];
         const float scale = weightScale(dims[layer]);
-        for (std::uint32_t o = 0; o < dims[layer + 1]; ++o) {
+        for (std::uint32_t o = 0; o < out_dim; ++o) {
             const std::uint64_t row = paramgen::prefix(id * 2 + 1, layer, o);
-            for (std::uint32_t i = 0; i < dims[layer]; ++i)
-                block.push_back(
-                    paramgen::unitFloat(paramgen::hash(row ^ i)) * scale);
+            float *lane = w + o / kPanel * in_dim * kPanel + o % kPanel;
+            for (std::uint32_t i = 0; i < in_dim; ++i)
+                lane[i * kPanel] =
+                    paramgen::unitFloat(paramgen::hash(row ^ i)) * scale;
         }
-        for (std::uint32_t o = 0; o < dims[layer + 1]; ++o)
-            block.push_back(mlp.bias(layer, o));
+        float *biases = w + mlp_kernel::panels(out_dim) * kPanel * in_dim;
+        for (std::uint32_t o = 0; o < out_dim; ++o)
+            biases[o] = mlp.bias(layer, o);
+        w += mlp_kernel::layerFloats(in_dim, out_dim);
     }
     return block;
 }
+
+/** Orders (id, dims) keys, looked up by a key holding a dims reference. */
+struct ShapeLess
+{
+    using is_transparent = void;
+
+    template <typename A, typename B>
+    bool
+    operator()(const A &a, const B &b) const
+    {
+        return std::tie(a.first, a.second) < std::tie(b.first, b.second);
+    }
+};
 
 /**
  * Parameter blocks shared by every Mlp of one (id, dims). Sweeps and
@@ -67,17 +91,16 @@ class ParamRegistry
     Params
     get(const Mlp &mlp, std::uint64_t id)
     {
-        const std::uint64_t floats = mlp.paramCount();
+        const std::uint64_t floats = mlp_kernel::blockFloats(mlp.dims());
         {
             const std::lock_guard<std::mutex> lock(_mutex);
-            auto key = std::make_pair(id, mlp.dims());
-            const auto it = _blocks.find(key);
+            const auto it = _blocks.find(ShapeRef(id, mlp.dims()));
             if (it != _blocks.end())
                 return it->second;
             if (_floats + floats <= kMaxFloats) {
                 Params block = std::make_shared<const std::vector<float>>(
                     synthesize(mlp, id));
-                _blocks.emplace(std::move(key), block);
+                _blocks.emplace(Shape(id, mlp.dims()), block);
                 _floats += floats;
                 return block;
             }
@@ -87,9 +110,12 @@ class ParamRegistry
     }
 
   private:
+    using Shape = std::pair<std::uint64_t, std::vector<std::uint32_t>>;
+    using ShapeRef =
+        std::pair<std::uint64_t, const std::vector<std::uint32_t> &>;
+
     std::mutex _mutex;
-    std::map<std::pair<std::uint64_t, std::vector<std::uint32_t>>, Params>
-        _blocks;
+    std::map<Shape, Params, ShapeLess> _blocks;
     std::uint64_t _floats = 0;
 };
 
@@ -101,20 +127,177 @@ paramRegistry()
     return *registry;
 }
 
-F32x4
-splat(float v)
+/**
+ * kVecs vectors of V (kVecs x its width outputs, from output @p o0, a
+ * multiple of kPanel) against kSamples samples: one accumulator vector
+ * per (sample, vector), each lane one (sample, output) sum in the
+ * naive loop's order. Eight accumulators cover the add latency.
+ */
+template <typename V, std::size_t kVecs, std::size_t kSamples>
+[[gnu::always_inline]] inline void
+tile(const mlp_kernel::Layer &layer, std::size_t o0, const float *x,
+     std::size_t x_stride, float *y, std::size_t y_stride)
 {
-    return F32x4{v, v, v, v};
+    constexpr std::size_t kWidth = sizeof(V) / sizeof(float);
+    const std::size_t in_dim = layer.inDim;
+    const float *biases = layer.w + y_stride * in_dim;
+    const float *rows[kVecs];
+    V acc[kSamples][kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v) {
+        const std::size_t o = o0 + v * kWidth;
+        rows[v] = layer.w + o / kPanel * in_dim * kPanel + o % kPanel;
+        V b;
+        std::memcpy(&b, biases + o, sizeof b);
+        for (std::size_t s = 0; s < kSamples; ++s)
+            acc[s][v] = b;
+    }
+    for (std::size_t i = 0; i < in_dim; ++i)
+        for (std::size_t v = 0; v < kVecs; ++v) {
+            V w;
+            std::memcpy(&w, rows[v] + i * kPanel, sizeof w);
+            for (std::size_t s = 0; s < kSamples; ++s)
+                acc[s][v] += w * x[s * x_stride + i];
+        }
+    for (std::size_t s = 0; s < kSamples; ++s)
+        for (std::size_t v = 0; v < kVecs; ++v) {
+            // As `if (y < 0) y = 0` per lane: -0.0f and NaN pass.
+            const V a = acc[s][v];
+            const V out = layer.relu ? (a < V{} ? V{} : a) : a;
+            std::memcpy(y + s * y_stride + o0 + v * kWidth, &out,
+                        sizeof out);
+        }
 }
 
-/** Lanes below zero become +0.0f, as `if (y < 0) y = 0` per lane. */
-F32x4
-relu(F32x4 y)
+/** Outputs o0.. of every sample: samples in fours, then the rest. */
+template <typename V, std::size_t kVecs>
+[[gnu::always_inline]] inline void
+outputs(const mlp_kernel::Layer &layer, std::size_t o0, const float *x,
+        std::size_t x_stride, std::size_t batch, float *y,
+        std::size_t y_stride)
 {
-    return (F32x4)((I32x4)y & ~(y < F32x4{}));
+    std::size_t b = 0;
+    for (; b + 4 <= batch; b += 4)
+        tile<V, kVecs, 4>(layer, o0, x + b * x_stride, x_stride,
+                          y + b * y_stride, y_stride);
+    x += b * x_stride;
+    y += b * y_stride;
+    switch (batch - b) {
+      case 3:
+        tile<V, kVecs, 3>(layer, o0, x, x_stride, y, y_stride);
+        break;
+      case 2:
+        tile<V, kVecs, 2>(layer, o0, x, x_stride, y, y_stride);
+        break;
+      case 1:
+        tile<V, kVecs, 1>(layer, o0, x, x_stride, y, y_stride);
+        break;
+      default:
+        break;
+    }
+}
+
+/**
+ * The layer kernel over V-wide vectors, two vectors of outputs at a
+ * time (one panel in SSE2 halves, two panels in AVX2), each streamed
+ * once past every sample.
+ */
+template <typename V>
+[[gnu::always_inline]] inline void
+layerPanels(const mlp_kernel::Layer &layer, const float *x,
+            std::size_t x_stride, std::size_t batch, float *y)
+{
+    constexpr std::size_t kStep = 2 * sizeof(V) / sizeof(float);
+    const std::size_t y_stride = mlp_kernel::panels(layer.outDim) * kPanel;
+    std::size_t o = 0;
+    for (; o + kStep <= y_stride; o += kStep)
+        outputs<V, 2>(layer, o, x, x_stride, batch, y, y_stride);
+    if (o < y_stride)
+        outputs<V, 1>(layer, o, x, x_stride, batch, y, y_stride);
 }
 
 } // namespace
+
+namespace mlp_kernel {
+
+void
+layer4(const Layer &layer, const float *x, std::size_t x_stride,
+       std::size_t batch, float *y)
+{
+    layerPanels<F32x4>(layer, x, x_stride, batch, y);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("avx2"))) void
+layer8(const Layer &layer, const float *x, std::size_t x_stride,
+       std::size_t batch, float *y)
+{
+    layerPanels<F32x8>(layer, x, x_stride, batch, y);
+}
+#endif
+
+bool
+hostHasAvx2()
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2");
+#else
+    return false;
+#endif
+}
+
+LayerKernel
+hostKernel()
+{
+    static const LayerKernel kernel = [] {
+#if defined(__x86_64__)
+        if (hostHasAvx2())
+            return &layer8;
+#endif
+        return &layer4;
+    }();
+    return kernel;
+}
+
+std::vector<float>
+forwardBatch(const Mlp &mlp, LayerKernel kernel, const float *in,
+             std::uint32_t batch)
+{
+    // Activations between layers keep every padding lane, so each
+    // sample's row is panels(width) * kPanel floats; the next layer
+    // reads only its first inDim.
+    const std::vector<std::uint32_t> &dims = mlp.dims();
+    std::size_t widest = 0;
+    for (std::size_t l = 1; l < dims.size(); ++l)
+        widest = std::max(widest, panels(dims[l]) * kPanel);
+    const std::size_t rows = static_cast<std::size_t>(batch) * widest;
+    std::vector<float> scratch(2 * rows);
+    float *y = scratch.data();
+    float *spare = y + rows;
+
+    const float *x = in;
+    std::size_t x_stride = dims.front();
+    const float *w = mlp.params();
+    for (std::size_t l = 0; l + 1 < dims.size(); ++l) {
+        const Activation act =
+            l + 2 == dims.size() ? mlp.finalAct() : mlp.hiddenAct();
+        const Layer layer{w, dims[l], dims[l + 1], act == Activation::Relu};
+        kernel(layer, x, x_stride, batch, y);
+        w += layerFloats(dims[l], dims[l + 1]);
+        x = y;
+        x_stride = panels(dims[l + 1]) * kPanel;
+        std::swap(y, spare);
+    }
+
+    const std::size_t out_dim = mlp.outputDim();
+    std::vector<float> out(static_cast<std::size_t>(batch) * out_dim);
+    for (std::size_t b = 0; b < batch; ++b)
+        std::memcpy(out.data() + b * out_dim, x + b * x_stride,
+                    out_dim * sizeof(float));
+    return out;
+}
+
+} // namespace mlp_kernel
 
 Mlp::Mlp(std::uint64_t mlp_id, std::vector<std::uint32_t> layer_dims,
          Activation hidden_act, Activation final_act)
@@ -152,72 +335,8 @@ Mlp::forward(const float *in) const
 std::vector<float>
 Mlp::forwardBatch(const float *in, std::uint32_t batch) const
 {
-    // Samples go in groups of four, one per vector lane, with
-    // activations at x[group * width + i]; padding lanes are zero and
-    // dropped at the end. Each block of four outputs keeps one
-    // accumulator vector per output over a group. Every lane starts at
-    // its bias and adds w[i] * x[i] for i ascending, a separate
-    // multiply and add, so each sum is bit-identical to the naive loop
-    // over weight() and bias().
-    const std::size_t groups = (static_cast<std::size_t>(batch) + 3) / 4;
-    std::vector<F32x4> cur(groups * inputDim(), F32x4{});
-    for (std::size_t b = 0; b < batch; ++b)
-        for (std::uint32_t i = 0; i < inputDim(); ++i)
-            cur[b / 4 * inputDim() + i][b % 4] = in[b * inputDim() + i];
-
-    std::vector<F32x4> next;
-    const float *w = _params->data();
-    for (std::size_t layer = 0; layer + 1 < _dims.size(); ++layer) {
-        const std::size_t in_dim = _dims[layer];
-        const std::size_t out_dim = _dims[layer + 1];
-        const bool last = layer + 2 == _dims.size();
-        const bool rl = (last ? _finalAct : _hiddenAct) == Activation::Relu;
-        const float *biases = w + out_dim * in_dim;
-        next.resize(groups * out_dim);
-        std::size_t o = 0;
-        for (; o + 4 <= out_dim; o += 4) {
-            const float *w0 = w + o * in_dim;
-            const float *w1 = w0 + in_dim;
-            const float *w2 = w1 + in_dim;
-            const float *w3 = w2 + in_dim;
-            for (std::size_t g = 0; g < groups; ++g) {
-                const F32x4 *x = cur.data() + g * in_dim;
-                F32x4 a0 = splat(biases[o]);
-                F32x4 a1 = splat(biases[o + 1]);
-                F32x4 a2 = splat(biases[o + 2]);
-                F32x4 a3 = splat(biases[o + 3]);
-                for (std::size_t i = 0; i < in_dim; ++i) {
-                    a0 += splat(w0[i]) * x[i];
-                    a1 += splat(w1[i]) * x[i];
-                    a2 += splat(w2[i]) * x[i];
-                    a3 += splat(w3[i]) * x[i];
-                }
-                F32x4 *y = next.data() + g * out_dim + o;
-                y[0] = rl ? relu(a0) : a0;
-                y[1] = rl ? relu(a1) : a1;
-                y[2] = rl ? relu(a2) : a2;
-                y[3] = rl ? relu(a3) : a3;
-            }
-        }
-        for (; o < out_dim; ++o) {
-            const float *w0 = w + o * in_dim;
-            for (std::size_t g = 0; g < groups; ++g) {
-                const F32x4 *x = cur.data() + g * in_dim;
-                F32x4 a0 = splat(biases[o]);
-                for (std::size_t i = 0; i < in_dim; ++i)
-                    a0 += splat(w0[i]) * x[i];
-                next[g * out_dim + o] = rl ? relu(a0) : a0;
-            }
-        }
-        w = biases + out_dim;
-        cur.swap(next);
-    }
-
-    std::vector<float> out(static_cast<std::size_t>(batch) * outputDim());
-    for (std::size_t b = 0; b < batch; ++b)
-        for (std::uint32_t o = 0; o < outputDim(); ++o)
-            out[b * outputDim() + o] = cur[b / 4 * outputDim() + o][b % 4];
-    return out;
+    return mlp_kernel::forwardBatch(*this, mlp_kernel::hostKernel(), in,
+                                    batch);
 }
 
 std::uint64_t

@@ -28,13 +28,17 @@ enum class Activation : std::uint8_t
  *
  * weight() and bias() are paramgen::hashedFloat(), the definition.
  * The constructor takes the parameter block of its (mlp_id, dims)
- * from a process-wide registry, which synthesizes it once: per layer,
- * the out x in weights row-major, then the out biases. Every Mlp of
- * that shape shares the block; the registry holds at most 64 MiB of
- * parameters, and a shape that no longer fits gets a private block.
- * forwardBatch() is a 4-output x 4-sample register-blocked GEMM over
- * the block and must stay bit-identical to the naive loop
- * acc = bias(l, o); acc += weight(l, o, i) * x[i] for i in order.
+ * from a process-wide registry, which synthesizes it once, packed for
+ * the kernel: each layer in panels of 8 outputs, where row i of a
+ * panel holds those 8 outputs' weights for input i, then the biases
+ * (layout and padding in mlp_kernel.hh). Every Mlp of that shape
+ * shares the block; the registry holds at most 64 MiB of parameters,
+ * and a shape that no longer fits gets a private block.
+ * forwardBatch() broadcasts each sample's x[i] against a whole panel
+ * row, one (sample, output) sum per vector lane, 8 lanes wide where
+ * the CPU has AVX2 and 4 wide otherwise. It must stay bit-identical
+ * to the naive loop acc = bias(l, o); acc += weight(l, o, i) * x[i]
+ * for i in order.
  */
 class Mlp
 {
@@ -67,6 +71,8 @@ class Mlp
     std::uint32_t outputDim() const { return _dims.back(); }
     std::size_t layers() const { return _dims.size() - 1; }
     const std::vector<std::uint32_t> &dims() const { return _dims; }
+    Activation hiddenAct() const { return _hiddenAct; }
+    Activation finalAct() const { return _finalAct; }
 
     /** fp32 parameter count (weights + biases). */
     std::uint64_t paramCount() const;
@@ -74,7 +80,10 @@ class Mlp
     /** Multiply-accumulates per forwarded sample. */
     std::uint64_t macsPerSample() const;
 
-    /** The parameter block: per layer, weights row-major, then biases. */
+    /**
+     * The packed parameter block: per layer, 8-output weight panels,
+     * then the biases, zero-padded (layout in mlp_kernel.hh).
+     */
     const float *params() const { return _params->data(); }
 
   private:

@@ -6,22 +6,30 @@
 
 namespace centaur {
 
-ReferenceModel::ReferenceModel(const DlrmConfig &cfg)
-    : _cfg(cfg),
-      _layout(MemoryLayout::buildFor(cfg.numTables, cfg.tableBytes()))
+namespace {
+
+/** @p cfg, once its bottom stack is known to feed the interaction. */
+const DlrmConfig &
+checked(const DlrmConfig &cfg)
 {
     if (cfg.bottomMlp.empty() || cfg.bottomMlp.back() != cfg.embeddingDim)
         fatal("bottom MLP must end at embeddingDim so its output can "
               "join the feature interaction");
+    return cfg;
+}
+
+} // namespace
+
+ReferenceModel::ReferenceModel(const DlrmConfig &cfg)
+    : _cfg(checked(cfg)),
+      _layout(MemoryLayout::buildFor(cfg.numTables, cfg.tableBytes())),
+      _bottom(1, cfg.bottomLayerDims(), Activation::Relu, Activation::Relu),
+      _top(2, cfg.topLayerDims(), Activation::Relu, Activation::None)
+{
     _tables.reserve(cfg.numTables);
     for (std::uint32_t t = 0; t < cfg.numTables; ++t)
-        _tables.push_back(std::make_unique<VirtualEmbeddingTable>(
-            t, cfg.rowsPerTable, cfg.embeddingDim,
-            _layout.tableBases[t]));
-    _bottom = std::make_unique<Mlp>(1, cfg.bottomLayerDims(),
-                                    Activation::Relu, Activation::Relu);
-    _top = std::make_unique<Mlp>(2, cfg.topLayerDims(),
-                                 Activation::Relu, Activation::None);
+        _tables.emplace_back(t, cfg.rowsPerTable, cfg.embeddingDim,
+                             _layout.tableBases[t]);
 }
 
 namespace {
@@ -61,7 +69,7 @@ ReferenceModel::reduceEmbeddings(const InferenceBatch &batch) const
             float *out = reduced[t].data() +
                          static_cast<std::size_t>(b) * dim;
             for (std::uint32_t j = 0; j < batch.lookupsPerTable; ++j)
-                _tables[t]->accumulateRow(
+                _tables[t].accumulateRow(
                     idx[static_cast<std::size_t>(b) *
                             batch.lookupsPerTable + j],
                     out);
@@ -92,7 +100,7 @@ ReferenceModel::forward(const InferenceBatch &batch) const
     const std::uint32_t dim = _cfg.embeddingDim;
 
     res.reduced = reduceEmbeddings(batch);
-    res.bottomOut = _bottom->forwardBatch(batch.dense.data(),
+    res.bottomOut = _bottom.forwardBatch(batch.dense.data(),
                                           batch.batch);
 
     const std::uint32_t top_in_dim = _cfg.interactionDim();
@@ -109,7 +117,7 @@ ReferenceModel::forward(const InferenceBatch &batch) const
                      static_cast<std::size_t>(b) * top_in_dim);
     }
 
-    res.logits = _top->forwardBatch(res.topIn.data(), batch.batch);
+    res.logits = _top.forwardBatch(res.topIn.data(), batch.batch);
     res.probabilities.resize(res.logits.size());
     for (std::size_t i = 0; i < res.logits.size(); ++i)
         res.probabilities[i] = referenceSigmoid(res.logits[i]);

@@ -12,7 +12,6 @@
 #define CENTAUR_DLRM_REFERENCE_MODEL_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dlrm/embedding_table.hh"
@@ -65,17 +64,17 @@ class ReferenceModel
     const MemoryLayout &layout() const { return _layout; }
     const VirtualEmbeddingTable &table(std::size_t t) const
     {
-        return *_tables[t];
+        return _tables[t];
     }
-    const Mlp &bottomMlp() const { return *_bottom; }
-    const Mlp &topMlp() const { return *_top; }
+    const Mlp &bottomMlp() const { return _bottom; }
+    const Mlp &topMlp() const { return _top; }
 
   private:
     DlrmConfig _cfg;
     MemoryLayout _layout;
-    std::vector<std::unique_ptr<VirtualEmbeddingTable>> _tables;
-    std::unique_ptr<Mlp> _bottom;
-    std::unique_ptr<Mlp> _top;
+    std::vector<VirtualEmbeddingTable> _tables;
+    Mlp _bottom;
+    Mlp _top;
 };
 
 } // namespace centaur

@@ -8,10 +8,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "dlrm/mlp.hh"
+#include "dlrm/mlp_kernel.hh"
 #include "dlrm/model_registry.hh"
 #include "naive_reference.hh"
 
@@ -120,7 +122,45 @@ testInputs(std::size_t n, std::uint64_t seed)
     return in;
 }
 
-TEST(MlpBitExact, ForwardBatchMatchesNaiveLoopOnPresetShapes)
+/**
+ * Runs each bit-exactness test through every layer kernel: "x4" (4-wide
+ * vectors, every host) and "avx2" (8-wide, skipped where the CPU lacks
+ * AVX2). Mlp::forwardBatch() itself runs whichever hostKernel() picks.
+ */
+class MlpBitExact : public testing::TestWithParam<const char *>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (std::string(GetParam()) == "x4") {
+            _kernel = &mlp_kernel::layer4;
+            return;
+        }
+#if defined(__x86_64__)
+        if (mlp_kernel::hostHasAvx2()) {
+            _kernel = &mlp_kernel::layer8;
+            return;
+        }
+#endif
+        GTEST_SKIP() << "this CPU has no AVX2";
+    }
+
+    std::vector<float>
+    forwardBatch(const Mlp &mlp, const float *in, std::uint32_t batch) const
+    {
+        return mlp_kernel::forwardBatch(mlp, _kernel, in, batch);
+    }
+
+    mlp_kernel::LayerKernel _kernel = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MlpBitExact, testing::Values("x4", "avx2"),
+                         [](const testing::TestParamInfo<const char *> &p) {
+                             return std::string(p.param);
+                         });
+
+TEST_P(MlpBitExact, ForwardBatchMatchesNaiveLoopOnPresetShapes)
 {
     for (const char *name : {"rm-wide", "dlrm4", "dlrm6"}) {
         const DlrmConfig cfg = parseModel(name);
@@ -138,27 +178,39 @@ TEST(MlpBitExact, ForwardBatchMatchesNaiveLoopOnPresetShapes)
                     const auto expect = naive::mlpForward(
                         mlp, Activation::Relu, final_act, in.data(), batch);
                     EXPECT_TRUE(naive::bitEqual(
-                        mlp.forwardBatch(in.data(), batch), expect));
+                        forwardBatch(mlp, in.data(), batch), expect));
                     const std::vector<float> last(
                         expect.end() - mlp.outputDim(), expect.end());
                     EXPECT_TRUE(naive::bitEqual(
-                        mlp.forward(in.data() + (batch - 1) * dims.front()),
+                        forwardBatch(mlp,
+                                     in.data() + (batch - 1) * dims.front(),
+                                     1),
                         last));
                 }
     }
 }
 
-TEST(MlpBitExact, ForwardBatchCoversKernelTailsAndPaddingLanes)
+TEST_P(MlpBitExact, ForwardBatchCoversKernelTailsAndPaddingLanes)
 {
-    // Output widths off the 4-wide block, a 1-wide input and every
-    // batch remainder of the 4-sample groups.
+    // Output widths on both sides of one, two and three 8-output
+    // panels (the 8-wide kernel takes panels in pairs, so 17 leaves
+    // one over), a 1-wide input, padded hidden layers, and every
+    // remainder of the 4-sample groups.
     const std::vector<std::vector<std::uint32_t>> shapes = {
-        {1, 1},    {1, 2},    {1, 3},       {1, 5},      {1, 7},
-        {5, 1},    {6, 2},    {9, 3},       {4, 5},      {3, 7},
-        {1, 8, 5}, {7, 3, 1}, {2, 5, 7, 2}, {13, 6, 4, 3}};
+        {1, 1},      {1, 2},      {1, 3},       {1, 5},        {1, 7},
+        {5, 1},      {6, 2},      {9, 3},       {4, 5},        {3, 7},
+        {2, 8},      {1, 9},      {3, 10},      {7, 11},       {2, 12},
+        {5, 13},     {1, 14},     {4, 15},      {6, 16},       {3, 17},
+        {1, 8, 5},   {7, 3, 1},   {2, 5, 7, 2}, {13, 6, 4, 3}, {9, 17, 9, 1},
+        {5, 16, 17}, {17, 11, 16}};
+    std::vector<std::uint32_t> batches;
+    for (std::uint32_t b = 1; b <= 9; ++b)
+        batches.push_back(b);
+    batches.push_back(17);
+    batches.push_back(64);
     for (const auto &dims : shapes)
         for (Activation final_act : {Activation::Relu, Activation::None})
-            for (std::uint32_t batch = 1; batch <= 9; ++batch) {
+            for (std::uint32_t batch : batches) {
                 SCOPED_TRACE(testing::Message()
                              << "in=" << dims.front() << " layers="
                              << dims.size() - 1 << " out=" << dims.back()
@@ -166,24 +218,47 @@ TEST(MlpBitExact, ForwardBatchCoversKernelTailsAndPaddingLanes)
                 const Mlp mlp(6, dims, Activation::Relu, final_act);
                 const auto in = testInputs(batch * dims.front(), batch + 40);
                 EXPECT_TRUE(naive::bitEqual(
-                    mlp.forwardBatch(in.data(), batch),
+                    forwardBatch(mlp, in.data(), batch),
                     naive::mlpForward(mlp, Activation::Relu, final_act,
                                       in.data(), batch)));
             }
 }
 
-/** weight() and bias() laid out as the parameter block promises. */
+TEST(MlpKernel, HostKernelFollowsCpuDetection)
+{
+#if defined(__x86_64__)
+    EXPECT_EQ(mlp_kernel::hostKernel(), mlp_kernel::hostHasAvx2()
+                                            ? &mlp_kernel::layer8
+                                            : &mlp_kernel::layer4);
+#else
+    EXPECT_EQ(mlp_kernel::hostKernel(), &mlp_kernel::layer4);
+#endif
+}
+
+/**
+ * weight() and bias() where mlp_kernel.hh documents them: per layer,
+ * w[o][i] at lane o % 8 of row i of panel o / 8, then the biases;
+ * every padding lane is zero.
+ */
 std::vector<float>
 expectedBlock(const Mlp &mlp)
 {
-    std::vector<float> block;
+    static_assert(mlp_kernel::kPanel == 8, "the documented panel width");
+    std::vector<float> block(mlp_kernel::blockFloats(mlp.dims()), 0.0f);
+    std::size_t base = 0;
     for (std::size_t l = 0; l < mlp.layers(); ++l) {
-        for (std::uint32_t o = 0; o < mlp.dims()[l + 1]; ++o)
-            for (std::uint32_t i = 0; i < mlp.dims()[l]; ++i)
-                block.push_back(mlp.weight(l, o, i));
-        for (std::uint32_t o = 0; o < mlp.dims()[l + 1]; ++o)
-            block.push_back(mlp.bias(l, o));
+        const std::size_t in = mlp.dims()[l];
+        const std::uint32_t out = mlp.dims()[l + 1];
+        const std::size_t padded = (out + 7) / 8 * 8;
+        for (std::uint32_t o = 0; o < out; ++o)
+            for (std::uint32_t i = 0; i < in; ++i)
+                block[base + (o / 8 * in + i) * 8 + o % 8] =
+                    mlp.weight(l, o, i);
+        for (std::uint32_t o = 0; o < out; ++o)
+            block[base + padded * in + o] = mlp.bias(l, o);
+        base += padded * (in + 1);
     }
+    EXPECT_EQ(base, block.size());
     return block;
 }
 
@@ -197,7 +272,6 @@ TEST(MlpParams, BlockIsWeightAndBiasOfEveryRegisteredModel)
             SCOPED_TRACE(testing::Message()
                          << info.name << " in=" << mlp->inputDim());
             const auto expect = expectedBlock(*mlp);
-            ASSERT_EQ(expect.size(), mlp->paramCount());
             EXPECT_EQ(std::memcmp(mlp->params(), expect.data(),
                                   expect.size() * sizeof(float)),
                       0);
